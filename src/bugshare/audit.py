@@ -104,6 +104,13 @@ class CompetitiveReport:
     assumptions_hold: bool
 
 
+def _report(prop: str, violations: list[Violation], probes: int) -> AuditReport:
+    """The audit's verdict; an audit that probed nothing checked nothing and raises."""
+    if probes == 0:
+        raise ValueError(f"{prop} audit made no probe: no profiles, agents or grid points")
+    return AuditReport(prop, violations)
+
+
 def max_delay(outcome: Allocation) -> float:
     return max(outcome.times)
 
@@ -134,6 +141,7 @@ def check_sp(
     if epsilon < 0.0:
         raise ValueError("epsilon must be non-negative")
     violations = []
+    probes = 0
     for profile in profiles:
         truth = mechanism(profile)
         for agent, value in enumerate(profile.values):
@@ -141,25 +149,28 @@ def check_sp(
             for report in report_grid:
                 if report == value:
                     continue
+                probes += 1
                 dev = mechanism(profile.replace(agent, report))
                 u_dev = utility(value, dev.times, dev.payments, agent)
                 if u_dev > u_truth + epsilon:
                     violations.append(
                         Violation(profile.values, agent, float(report), u_dev - u_truth)
                     )
-    return AuditReport("SP", violations)
+    return _report("SP", violations, probes)
 
 
 def check_ir(mechanism: Mechanism, profiles: Iterable[TypeProfile]) -> AuditReport:
     """Truthful utility must never be negative."""
     violations = []
+    probes = 0
     for profile in profiles:
+        probes += 1
         out = mechanism(profile)
         for agent, value in enumerate(profile.values):
             u = utility(value, out.times, out.payments, agent)
             if u < -IR_TOL:
                 violations.append(Violation(profile.values, agent, None, u))
-    return AuditReport("IR", violations)
+    return _report("IR", violations, probes)
 
 
 def check_bb(
@@ -173,10 +184,12 @@ def check_bb(
     failed runs must charge nothing and deliver nothing before time 1.
     """
     violations = []
+    probes = 0
     for profile in profiles:
         result = mechanism(profile)
         outcomes = [result] if isinstance(result, Outcome) else list(result)
         for out in outcomes:
+            probes += 1
             if out.sold:
                 imbalance = sum(out.payments) - 1.0
                 if abs(imbalance) > BB_TOL:
@@ -189,7 +202,7 @@ def check_bb(
                 for agent, t in enumerate(out.times):
                     if t < 1.0 - BB_TOL:
                         violations.append(Violation(profile.values, agent, t, 1.0 - t))
-    return AuditReport("BB", violations)
+    return _report("BB", violations, probes)
 
 
 def check_monotonicity(
@@ -201,17 +214,19 @@ def check_monotonicity(
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("report grid must be sorted ascending")
     violations = []
+    probes = 0
     for profile in profiles:
         for agent in range(len(profile)):
             previous = None
             for report in grid:
+                probes += 1
                 t = mechanism(profile.replace(agent, report)).times[agent]
                 if previous is not None and t > previous + MONO_TOL:
                     violations.append(
                         Violation(profile.values, agent, float(report), t - previous)
                     )
                 previous = t
-    return AuditReport("MONO", violations)
+    return _report("MONO", violations, probes)
 
 
 def myerson_payment(

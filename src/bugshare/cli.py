@@ -67,7 +67,7 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _mechanism_rule(name: str, t_c: float | None, expected_cap: int = 16):
+def _mechanism_rule(name: str, t_c: float | None):
     if name == "cs":
         return cs_allocate
     if name == "csd":
@@ -77,7 +77,7 @@ def _mechanism_rule(name: str, t_c: float | None, expected_cap: int = 16):
     if name == "csod":
         return csod_allocate
     if name == "gcsod":
-        return lambda p: gcsod_expected(p, cap=expected_cap)
+        return gcsod_expected
     raise _UsageError(f"unknown mechanism {name!r}")
 
 

@@ -1,10 +1,12 @@
 """Prior distributions over agent types and their segment discretization.
 
 Two families are supported: uniform on [lo, hi] and a normal conditioned on
-[lo, hi] (truncated and renormalized).  Both expose an exact CDF, seeded
-inverse-CDF sampling, and the H-segment mass vector consumed by the linear
-programs.  Specs parse from the compact notation used in the experiment
-tables: ``U(0,1)``, ``N(0.5,0.2)`` (normals are always conditioned on [0,1]).
+[lo, hi] (truncated and renormalized), with 0 <= lo < hi finite; a normal
+with no representable mass on [lo, hi] is rejected.  Both expose an exact
+CDF, seeded inverse-CDF sampling, and the H-segment mass vector consumed by
+the linear programs.  Specs parse from the compact notation used in the
+experiment tables: ``U(0,1)``, ``N(0.5,0.2)`` (normals are always conditioned
+on [0,1]).
 """
 
 from __future__ import annotations
@@ -31,13 +33,19 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "truncnorm"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if not self.lo < self.hi:
-            raise ValueError("support requires lo < hi")
+        if not 0.0 <= self.lo < self.hi < np.inf:
+            raise ValueError(f"support requires finite 0 <= lo < hi, got [{self.lo}, {self.hi}]")
         if self.kind == "truncnorm":
             if self.mu is None or self.sigma is None:
                 raise ValueError("truncated normal needs mu and sigma")
             if self.sigma <= 0.0:
                 raise ValueError("sigma must be positive")
+            a, b = self._phi_bounds()
+            if not b > a:  # the CDF would divide 0 by 0 and sampling would collapse
+                raise ValueError(
+                    f"N({self.mu:g},{self.sigma:g}) has no representable mass "
+                    f"on [{self.lo:g}, {self.hi:g}]"
+                )
 
     @property
     def upper(self) -> float:

@@ -20,8 +20,6 @@ suite cross-checks it against a brute-force grid search before trusting it.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -226,13 +224,13 @@ def solve_lp(model: LPModel) -> LPSolution:
     return LPSolution(float(res.fun), values, LPStatus.OPTIMAL)
 
 
-def _worker_count(tasks: int) -> int:
-    env = os.environ.get("BUGSHARE_THREADS", "")
-    try:
-        cap = int(env) if env else 1
-    except ValueError as exc:
-        raise ValueError(f"BUGSHARE_THREADS must be an integer, got {env!r}") from exc
-    return max(1, min(cap, tasks))
+def _segments(spec: DistributionSpec, H: int) -> SegmentedDistribution:
+    """Segment masses for the LP, whose types at segment edge i are i*delta."""
+    if spec.lo != 0.0:
+        raise ValueError(
+            f"LP bounds need a support starting at 0; {spec.label()} starts at {spec.lo:g}"
+        )
+    return discretize(spec, H)
 
 
 def sum_delay_lower_bound(spec: DistributionSpec, n: int, H: int) -> float:
@@ -241,7 +239,7 @@ def sum_delay_lower_bound(spec: DistributionSpec, n: int, H: int) -> float:
     The LP minimizes the per-agent expected delay surrogate; the n-agent sum
     is n times that optimum.
     """
-    seg = discretize(spec, H)
+    seg = _segments(spec, H)
     model = build_common_constraints(seg, n)
     model.objective = {_t(z): seg.masses[z - 1] for z in range(1, H + 1)}
     solution = solve_lp(model)
@@ -258,7 +256,7 @@ def max_delay_lower_bound(spec: DistributionSpec, n: int, H: int) -> float:
     a report exists; each of these H objectives is minimized under the common
     constraints and the largest optimum is kept (every one is a valid bound).
     """
-    seg = discretize(spec, H)
+    seg = _segments(spec, H)
     model = build_common_constraints(seg, n)
     _, a_ub, b_ub, a_eq, b_eq, bounds = _arrays(model)
     P = np.array(seg.masses)
@@ -276,10 +274,4 @@ def max_delay_lower_bound(spec: DistributionSpec, n: int, H: int) -> float:
         return float(res.fun)
 
     points = [i for i in range(1, H + 1) if head[i - 1] > 0.0]
-    workers = _worker_count(len(points))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            optima = list(pool.map(solve_at, points))
-    else:
-        optima = [solve_at(i) for i in points]
-    return max(optima, default=0.0)
+    return max((solve_at(i) for i in points), default=0.0)

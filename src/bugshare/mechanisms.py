@@ -19,7 +19,12 @@ Four allocation rules are implemented:
   two groups and each group runs the deadline mechanism using the *other*
   group's optimal deadline, which restores strategy-proofness.
 
-All rules are pure functions; ``gcsod_sample`` is pure given its seed.
+All rules are pure functions; ``gcsod_sample`` is pure given its seed.  They
+are the reference for the one array form of the same decisions below them:
+the row-wise optimal deadline and k*, the group rule's winner and extended
+deadline for many coin-flip rows at once, and ``grouping_table`` built on
+them.  The Monte Carlo kernels of :mod:`bugshare.simulate` reduce these rows
+to delays; the test suite checks exact agreement with the scalar rules.
 """
 
 from __future__ import annotations
@@ -226,26 +231,20 @@ def gcsod_allocate(profile: TypeProfile, grouping: Grouping) -> Outcome:
     if d_left.t_star < d_right.t_star or (
         d_left.t_star == d_right.t_star and d_left.k_star >= 1
     ):
-        winner, loser = left, right
+        winner = left
         own, extended = d_left.t_star, d_right.t_star
     elif d_right.t_star < d_left.t_star or d_right.k_star >= 1:
-        winner, loser = right, left
+        winner = right
         own, extended = d_right.t_star, d_left.t_star
     else:
         return Outcome((1.0,) * n, (0.0,) * n, sold=False)
 
-    winner_values = [profile.values[i] for i in winner]
-    k_star = _max_k(sorted(winner_values, reverse=True), extended)
-    ranked = sorted(winner, key=lambda i: (-profile.values[i], i))
-    payers = set(ranked[:k_star])
-    share = 1.0 / k_star
-    times = [0.0] * n
+    winning = _share_outcome([profile.values[i] for i in winner], extended)
+    times = [own] * n
     payments = [0.0] * n
-    for i in winner:
-        times[i] = 0.0 if i in payers else extended
-        payments[i] = share if i in payers else 0.0
-    for i in loser:
-        times[i] = own
+    for i, t, p in zip(winner, winning.times, winning.payments):
+        times[i] = t
+        payments[i] = p
     return Outcome(tuple(times), tuple(payments), sold=True)
 
 
@@ -262,56 +261,66 @@ def _grouping_matrix(n: int) -> np.ndarray:
     return (codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1 == 1
 
 
+def _kstar_rows(sorted_desc: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
+    """Row-wise ``_max_k``: largest k with k values >= 1/(k*deadline), else 0.
+
+    A zero deadline divides by zero; callers that allow one silence it.
+    """
+    ks = np.arange(1, sorted_desc.shape[1] + 1)
+    thresholds = 1.0 / (ks * deadlines[:, None])
+    return np.where(sorted_desc >= thresholds - QUALIFY_TOL, ks, 0).max(axis=1)
+
+
+def _deadline_rows(sorted_desc: np.ndarray) -> np.ndarray:
+    """Row-wise ``_optimal_deadline``, capped at 1.
+
+    min over k of 1/(k*v_(k)) is 1/max(k*v_(k)), bit for bit, because the
+    rounded reciprocal is monotone; capping the maximum at 1 caps the deadline.
+    """
+    ks = np.arange(1, sorted_desc.shape[1] + 1)
+    return 1.0 / np.maximum((ks * sorted_desc).max(axis=1), 1.0)
+
+
+def _group_rows(values: np.ndarray, left: np.ndarray):
+    """Row-wise decision of ``gcsod_allocate`` under the coin flips ``left``.
+
+    Returns ``(left_wins, sold, own, extended, k_star)``: which side wins
+    (exact ties favour the left), whether the bug sells, the winner's own
+    deadline, the loser's deadline under which the winner shares, and the
+    winner's sharing-set size.  Each side is sorted once with non-members
+    filled by 0, which never meets a 1/(k*t) >= 1/n price.
+    """
+    l_sorted = -np.sort(-np.where(left, values, 0.0), axis=1)
+    r_sorted = -np.sort(-np.where(left, 0.0, values), axis=1)
+    dl = _deadline_rows(l_sorted)
+    dr = _deadline_rows(r_sorted)
+    left_wins = (dl < dr) | ((dl == dr) & (_kstar_rows(l_sorted, dl) > 0))
+    sold = left_wins | (dr < dl) | (_kstar_rows(r_sorted, dr) > 0)
+    own = np.where(left_wins, dl, dr)
+    extended = np.where(left_wins, dr, dl)
+    k_star = _kstar_rows(np.where(left_wins[:, None], l_sorted, r_sorted), extended)
+    return left_wins, sold, own, extended, k_star
+
+
 def grouping_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent times and payments of the group rule for all 2^n groupings.
 
-    Vectorized replica of ``gcsod_allocate`` row by row; the scalar rule is
-    the reference and the test suite checks exact agreement.
+    ``_group_rows`` on the grouping matrix.  The scalar rule is the reference
+    and the test suite checks exact agreement.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    left = _grouping_matrix(n)
-    v = values[None, :]
-    ks = np.arange(1, n + 1)
-
-    def side_deadline(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals = np.where(member, v, 0.0)
-        vals_sorted = -np.sort(-vals, axis=1)
-        with np.errstate(divide="ignore"):
-            candidates = 1.0 / (ks * vals_sorted)
-        candidates[vals_sorted <= 0.0] = np.inf
-        t_star = np.minimum(candidates.min(axis=1), 1.0)
-        thresholds = 1.0 / (ks[None, :] * t_star[:, None])
-        sellable = (vals_sorted >= thresholds - QUALIFY_TOL).any(axis=1)
-        return t_star, sellable
-
-    dl, l_ok = side_deadline(left)
-    dr, r_ok = side_deadline(~left)
-
-    left_wins = (dl < dr) | ((dl == dr) & l_ok)
-    right_wins = ~left_wins & ((dr < dl) | r_ok)
-    sold = left_wins | right_wins
-
-    member = np.where(left_wins[:, None], left, ~left)
-    own = np.where(left_wins, dl, dr)
-    extended = np.where(left_wins, dr, dl)
-
-    masked = np.where(member, v, -1.0)  # sentinel sorts after every real value
-    masked_sorted = -np.sort(-masked, axis=1)
-    thresholds = 1.0 / (ks[None, :] * extended[:, None])
-    qualified = masked_sorted >= thresholds - QUALIFY_TOL
-    k_star = np.where(qualified, ks[None, :], 0).max(axis=1)
-
-    order = np.argsort(-masked, axis=1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.broadcast_to(np.arange(n), order.shape), axis=1)
-    payer = member & (rank < k_star[:, None]) & sold[:, None]
+    left = _grouping_matrix(values.shape[0])
+    left_wins, sold, own, extended, k_star = _group_rows(values[None, :], left)
+    member = left == left_wins[:, None]
+    # The payers are the winner's top k* members by (value, index).  k* never
+    # splits a tie (the tied value past it would qualify k*+1), so they are the
+    # members at the k*-th price; at k* = 0 none meets even the first price.
+    price = 1.0 / (np.maximum(k_star, 1) * extended)
+    payer = member & (values >= price[:, None] - QUALIFY_TOL)
 
     times = np.where(payer, 0.0, np.where(member, extended[:, None], own[:, None]))
     times = np.where(sold[:, None], times, 1.0)
-    with np.errstate(divide="ignore"):
-        share = np.where(k_star > 0, 1.0 / np.maximum(k_star, 1), 0.0)
-    payments = np.where(payer, share[:, None], 0.0)
+    payments = np.where(payer, (1.0 / np.maximum(k_star, 1))[:, None], 0.0)
     return times, payments
 
 

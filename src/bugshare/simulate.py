@@ -1,11 +1,12 @@
 """Monte-Carlo and exact-expectation estimation of mechanism delays under priors.
 
-Profiles are sampled in chunks from a seeded stream and pushed through
-vectorized replicas of the allocation rules that only track the max and sum
-of the allocation times (the scalar rules in :mod:`bugshare.mechanisms` stay
-the reference; the test suite checks row-by-row agreement).  The group rule
-runs either with one sampled coin-flip vector per profile (``monte_carlo``)
-or with the full 2^n grouping enumeration per profile (``exact_grouping``).
+Profiles are sampled in chunks from a seeded stream.  The array form of the
+allocation rules (row-wise deadline, k* and group-rule decision) lives in
+:mod:`bugshare.mechanisms` next to the scalar rules it mirrors; this module
+only reduces its decisions to the max and sum of the allocation times.  The
+group rule runs either with one sampled coin-flip vector per profile
+(``monte_carlo``) or with the full 2^n grouping enumeration per profile
+(``exact_grouping``).
 
 ``reproduce_table`` assembles the benchmark grid: expected max/sum delay of
 the plain and group cost-sharing rules plus the two LP lower bounds, for
@@ -23,7 +24,13 @@ import numpy as np
 
 from .distributions import DistributionSpec, draw
 from .lowerbound import max_delay_lower_bound, sum_delay_lower_bound
-from .mechanisms import ENUMERATION_CAP, QUALIFY_TOL, grouping_table
+from .mechanisms import (
+    ENUMERATION_CAP,
+    _deadline_rows,
+    _group_rows,
+    _kstar_rows,
+    grouping_table,
+)
 
 MECHANISMS = ("cs", "csd", "csod", "gcsod")
 MODES = ("monte_carlo", "exact_grouping")
@@ -111,38 +118,23 @@ class TableRow:
         return cls(**data)
 
 
-def _sorted_desc(values: np.ndarray) -> np.ndarray:
-    return -np.sort(-values, axis=1)
+def _share_delays(
+    sorted_desc: np.ndarray, deadlines: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(max delay, sum delay) per row of cost sharing on [0, deadline].
 
-
-def _kstar_rows(sorted_desc: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
-    """Row-wise largest k with k values >= 1/(k*deadline); 0 where none."""
+    k* = n means the row sold and nobody waits; an unsold row has k* = 0 and
+    everyone waits until the deadline, as in ``_share_outcome``.
+    """
     n = sorted_desc.shape[1]
-    ks = np.arange(1, n + 1)
-    with np.errstate(divide="ignore"):
-        thresholds = 1.0 / (ks[None, :] * deadlines[:, None])
-    ok = sorted_desc >= thresholds - QUALIFY_TOL
-    return np.where(ok, ks[None, :], 0).max(axis=1)
-
-
-def _deadline_raw_rows(sorted_desc: np.ndarray) -> np.ndarray:
-    """Row-wise uncapped optimal deadline (inf when no positive value)."""
-    n = sorted_desc.shape[1]
-    ks = np.arange(1, n + 1)
-    with np.errstate(divide="ignore"):
-        candidates = 1.0 / (ks * sorted_desc)
-    candidates = np.where(sorted_desc > 0.0, candidates, np.inf)
-    return candidates.min(axis=1)
+    k_star = _kstar_rows(sorted_desc, deadlines)
+    return np.where(k_star == n, 0.0, deadlines), (n - k_star) * deadlines
 
 
 def batch_csd_delays(values: np.ndarray, t_c: float) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per row under the fixed-deadline rule."""
-    rows, n = values.shape
-    k_star = _kstar_rows(_sorted_desc(values), np.full(rows, t_c))
-    sold = k_star > 0
-    mx = np.where(sold & (k_star == n), 0.0, t_c)
-    sm = np.where(sold, (n - k_star) * t_c, n * t_c)
-    return mx, sm
+    with np.errstate(divide="ignore"):  # t_c = 0 prices every group at infinity
+        return _share_delays(-np.sort(-values, axis=1), np.full(values.shape[0], t_c))
 
 
 def batch_cs_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,50 +143,23 @@ def batch_cs_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def batch_csod_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per row under the optimal-deadline rule."""
-    n = values.shape[1]
-    vs = _sorted_desc(values)
-    t_star = np.minimum(_deadline_raw_rows(vs), 1.0)
-    k_star = _kstar_rows(vs, t_star)
-    sold = k_star > 0
-    mx = np.where(sold, np.where(k_star == n, 0.0, t_star), 1.0)
-    sm = np.where(sold, (n - k_star) * t_star, float(n))
-    return mx, sm
+    sorted_desc = -np.sort(-values, axis=1)
+    return _share_delays(sorted_desc, _deadline_rows(sorted_desc))
 
 
 def batch_gcsod_delays(values: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per row of the group rule under given coin flips."""
-    rows, n = values.shape
-    ks = np.arange(1, n + 1)
-
-    def side(member: np.ndarray):
-        vals_sorted = _sorted_desc(np.where(member, values, 0.0))
-        raw = _deadline_raw_rows(vals_sorted)
-        t_star = np.minimum(raw, 1.0)
-        sellable = _kstar_rows(vals_sorted, t_star) > 0
-        return vals_sorted, t_star, sellable
-
-    l_sorted, dl, l_ok = side(left)
-    r_sorted, dr, r_ok = side(~left)
-
-    left_wins = (dl < dr) | ((dl == dr) & l_ok)
-    right_wins = ~left_wins & ((dr < dl) | r_ok)
-    sold = left_wins | right_wins
-
-    win_sorted = np.where(left_wins[:, None], l_sorted, r_sorted)
-    own = np.where(left_wins, dl, dr)
-    extended = np.where(left_wins, dr, dl)
-    k_star = _kstar_rows(win_sorted, extended)
-
-    n_win = np.where(left_wins, left.sum(axis=1), n - left.sum(axis=1))
+    n = values.shape[1]
+    left_wins, sold, own, extended, k_star = _group_rows(values, left)
+    n_left = left.sum(axis=1)
+    n_win = np.where(left_wins, n_left, n - n_left)
     n_lose = n - n_win
     mx = np.maximum(
         np.where(n_win > k_star, extended, 0.0),
         np.where(n_lose > 0, own, 0.0),
     )
     sm = (n_win - k_star) * extended + n_lose * own
-    mx = np.where(sold, mx, 1.0)
-    sm = np.where(sold, sm, float(n))
-    return mx, sm
+    return np.where(sold, mx, 1.0), np.where(sold, sm, float(n))
 
 
 def _exact_grouping_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

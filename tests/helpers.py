@@ -44,9 +44,6 @@ REFERENCE_TABLE = {
 # H = 100).
 DERIVED_SIM_EXPECTATIONS = {("N(0.5,0.4)", 1): 1.00}
 
-# Rows whose printed simulation entries are not reachable under their prior.
-KNOWN_UNREPRODUCIBLE_SIM_ROWS = set(DERIVED_SIM_EXPECTATIONS)
-
 EXAMPLE_PROFILE = TypeProfile((0.9, 0.8, 0.26, 0.26))
 
 

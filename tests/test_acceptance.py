@@ -42,7 +42,6 @@ from bugshare.lowerbound import sum_delay_lower_bound
 from helpers import (
     DERIVED_SIM_EXPECTATIONS,
     EXAMPLE_PROFILE,
-    KNOWN_UNREPRODUCIBLE_SIM_ROWS,
     REFERENCE_TABLE,
     brute_force_sharing_set,
     lp_grid_oracle,
@@ -298,32 +297,23 @@ def test_criterion_6_simulation_columns_strict(full_scale_table):
 
 
 def test_criterion_6_reproducible_rows_and_anchors(full_scale_table):
-    """The 11 reachable rows all match; the analytic anchors hold exactly."""
-    failures = []
-    for label, n in GRID_ROWS:
-        if (label, n) in KNOWN_UNREPRODUCIBLE_SIM_ROWS:
-            continue
-        ref = REFERENCE_TABLE[(label, n)]
-        for mech, objective, reference in (
-            ("gcsod", "max", ref[0]),
-            ("cs", "max", ref[1]),
-            ("gcsod", "sum", ref[3]),
-            ("cs", "sum", ref[4]),
-        ):
-            bad = _cell_mismatch(full_scale_table, label, n, mech, objective, reference)
-            if bad:
-                failures.append(bad)
+    """The analytic U(0,1) n=2 anchors of cs hold: max delay 3/4, sum delay 3/2.
 
+    With two U(0,1) agents, cs sells (both pay 1/2 at time 0) exactly when
+    both values reach 1/2, an event of probability 1/4 (one agent alone would
+    need a value of 1, probability 0); otherwise both wait until 1.  So the
+    expected max delay is 0.75 and the sum twice that.  The table rows
+    themselves are held to the reference by
+    ``test_criterion_6_simulation_columns_strict``.
+    """
     anchor = full_scale_table[("U(0,1)", 2, "cs", "max")]
     anchor_sum = full_scale_table[("U(0,1)", 2, "cs", "sum")]
     anchors_ok = (
         abs(anchor.value - 0.75) <= 3 * anchor.stderr
         and abs(anchor_sum.value - 1.50) <= 3 * anchor_sum.stderr
     )
-    ok = not failures and anchors_ok
-    _verdict("criterion 6 (reproducible rows + anchors)", ok)
-    assert not failures, failures
-    assert anchors_ok
+    _verdict("criterion 6 (anchors)", anchors_ok)
+    assert anchors_ok, (anchor, anchor_sum)
 
 
 # ---------------------------------------------------------------- criterion 7

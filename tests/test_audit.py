@@ -84,8 +84,8 @@ def test_gcsod_expected_truthful_on_random_suite():
 
 
 def test_check_sp_rejects_negative_epsilon():
-    with pytest.raises(ValueError):
-        check_sp(cs_allocate, [], (), epsilon=-1.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        check_sp(cs_allocate, [EXAMPLE_PROFILE], (0.5,), epsilon=-1.0)
 
 
 def test_misreport_grid_contains_thresholds():
@@ -176,14 +176,33 @@ def test_monotonicity_gcsod_expected_small_profiles():
 
 
 def test_monotonicity_rejects_unsorted_grid():
-    with pytest.raises(ValueError):
-        check_monotonicity(cs_allocate, [], (0.5, 0.1))
+    with pytest.raises(ValueError, match="sorted"):
+        check_monotonicity(cs_allocate, [EXAMPLE_PROFILE], (0.5, 0.1))
 
 
 def test_monotonicity_catches_increasing_rule():
     increasing = lambda p: Outcome((min(1.0, p.values[0]),) * len(p), (0.0,) * len(p), False)
     report = check_monotonicity(increasing, [TypeProfile((0.1, 0.2))], (0.1, 0.9))
     assert not report.passed
+
+
+def test_zero_probe_audits_raise():
+    # an audit that evaluated nothing must not read as a pass
+    pair = TypeProfile((0.5, 0.5))
+    empty_audits = (
+        lambda: check_sp(cs_allocate, [], misreport_grid(2)),
+        lambda: check_sp(cs_allocate, [TypeProfile((0.5,))], (0.5,)),  # the truth only
+        lambda: check_ir(cs_allocate, iter([])),
+        lambda: check_bb(cs_allocate, []),
+        lambda: check_bb(lambda p: [], [pair]),  # no realization to check
+        lambda: check_monotonicity(cs_allocate, [pair], ()),
+    )
+    for audit in empty_audits:
+        with pytest.raises(ValueError, match="no probe"):
+            audit()
+    # probes are counted as a generator is consumed
+    assert check_ir(cs_allocate, (p for p in [pair])).passed
+    assert check_sp(cs_allocate, (p for p in [pair]), misreport_grid(2)).passed
 
 
 # ------------------------------------------------------------ myerson_payment

@@ -190,11 +190,12 @@ def test_lowerbound_command(capsys):
 
 
 def test_lowerbound_rejects_bad_distribution(capsys):
-    code, _, err = _run_capture(
-        capsys, ["lowerbound", "--dist", "Zipf(2)", "--n", "2", "--objective", "sum"]
-    )
-    assert code == 1
-    assert "Zipf" in err
+    for dist in ("Zipf(2)", "U(0.5,1)"):
+        code, _, err = _run_capture(
+            capsys, ["lowerbound", "--dist", dist, "--n", "2", "--objective", "sum"]
+        )
+        assert code == 1
+        assert dist in err
 
 
 # ------------------------------------------------------------------ simulate

@@ -32,7 +32,7 @@ def test_parse_label_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for text in ("X(0,1)", "U(0 1)", "N(0.5)", "", "U(1,0)"):
+    for text in ("X(0,1)", "U(0 1)", "N(0.5)", "", "U(1,0)", "U(-1,1)", "N(5,0.1)", "N(-5,0.1)"):
         with pytest.raises(ValueError):
             DistributionSpec.parse(text)
 
@@ -44,6 +44,11 @@ def test_spec_validation():
         DistributionSpec(kind="truncnorm", mu=0.5, sigma=0.0)
     with pytest.raises(ValueError):
         DistributionSpec(kind="weibull")
+    with pytest.raises(ValueError):  # negative valuations
+        DistributionSpec(kind="uniform", lo=-1.0, hi=1.0)
+    for mu in (5.0, -5.0):  # no representable mass on [0, 1]: NaN CDF, collapsed draws
+        with pytest.raises(ValueError):
+            DistributionSpec(kind="truncnorm", mu=mu, sigma=0.1)
 
 
 # ------------------------------------------------------------------------ cdf

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bugshare.distributions import DistributionSpec, cdf
 from bugshare.mechanisms import (
@@ -14,6 +15,7 @@ from bugshare.mechanisms import (
     csod_allocate,
     gcsod_allocate,
     gcsod_expected,
+    grouping_table,
 )
 from bugshare.simulate import (
     SimulationConfig,
@@ -85,6 +87,45 @@ def test_batch_gcsod_matches_scalar(n):
         out = gcsod_allocate(TypeProfile(tuple(values[row])), Grouping(side))
         assert mx[row] == max(out.times)
         assert sm[row] == pytest.approx(sum(out.times), abs=1e-12)
+
+
+# Values whose 1/(k*t) prices and deadlines coincide, so that ties between
+# agents, ties between the two sides' deadlines and values landing exactly on
+# a price are common.  0.73 lands one ulp below its own price 1/(2t) at the
+# deadline t = 1/(2 * 0.73), so only QUALIFY_TOL lets a pair of them pay.
+TIE_GRID = (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.73, 1.0, 1.2)
+
+
+@given(
+    st.lists(st.sampled_from(TIE_GRID), min_size=1, max_size=6).map(tuple),
+    st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+)
+@example((0.5, 0.5), 0.5)
+@example((0.9, 0.8, 0.26, 0.26), 0.625)
+@example((0.73, 0.73, 0.73, 0.73), 1.0)
+@settings(max_examples=150, deadline=None)
+def test_array_rules_match_scalar_rules_on_ties_and_thresholds(values, t_c):
+    profile = TypeProfile(values)
+    n = len(values)
+    times, payments = grouping_table(np.array(values))
+    left = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+    g_mx, g_sm = batch_gcsod_delays(np.tile(values, (2**n, 1)), left)
+    for code in range(2**n):
+        side = tuple("L" if flag else "R" for flag in left[code])
+        out = gcsod_allocate(profile, Grouping(side))
+        assert tuple(times[code]) == out.times
+        assert tuple(payments[code]) == out.payments
+        assert g_mx[code] == max(out.times)
+        assert g_sm[code] == pytest.approx(sum(out.times), abs=1e-12)
+
+    row = np.array([values])
+    for (mx, sm), out in (
+        (batch_cs_delays(row), cs_allocate(profile)),
+        (batch_csd_delays(row, t_c), csd_allocate(profile, t_c)),
+        (batch_csod_delays(row), csod_allocate(profile)),
+    ):
+        assert mx[0] == max(out.times)
+        assert sm[0] == pytest.approx(sum(out.times), abs=1e-12)
 
 
 # ---------------------------------------------------------------- estimation
