@@ -20,7 +20,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from .distributions import DistributionSpec
-from .lowerbound import max_delay_lower_bound, sum_delay_lower_bound
+from .lowerbound import _max_delay_search, sum_delay_lower_bound
 from .mechanisms import (
     Grouping,
     TypeProfile,
@@ -209,15 +209,18 @@ def _cmd_alpha(args) -> int:
 
 def _cmd_lowerbound(args) -> int:
     spec = DistributionSpec.parse(args.dist)
-    fn = max_delay_lower_bound if args.objective == "max" else sum_delay_lower_bound
-    value = fn(spec, args.n, args.H)
     payload = {
         "distribution": spec.label(),
         "n": args.n,
         "H": args.H,
         "objective": args.objective,
-        "bound": value,
     }
+    if args.objective == "max":
+        # the attaining point and the solve count tell a pruned search from a full scan
+        value, point, solves = _max_delay_search(spec, args.n, args.H)
+        payload.update(bound=value, truncation_point=point, lp_solves=solves)
+    else:
+        payload["bound"] = sum_delay_lower_bound(spec, args.n, args.H)
     _emit(json.dumps(payload, indent=2), args.output)
     return 0
 

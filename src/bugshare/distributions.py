@@ -129,6 +129,7 @@ def discretize(spec: DistributionSpec, H: int) -> SegmentedDistribution:
     if H < 1:
         raise ValueError("H must be at least 1")
     edges = spec.lo + (spec.hi - spec.lo) * np.arange(H + 1) / H
+    edges[-1] = spec.hi  # hi * H / H can round past hi, outside the CDF's support
     probs = np.diff(cdf(spec, edges))
     delta = (spec.hi - spec.lo) / H
     return SegmentedDistribution(H=H, delta=delta, masses=tuple(float(p) for p in probs))

@@ -35,8 +35,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# Absolute slack for every "value is at least 1/(k * deadline)" test, so that
+# Slack for every "value is at least price = 1/(k * deadline)" test, so that
 # boundary profiles such as (0.5, 0.5) behave identically across platforms.
+# It is absolute for prices up to 1 and relative above, where 1e-12 would fall
+# below one ulp of the price and a group could miss its own deadline's price.
 QUALIFY_TOL = 1e-12
 
 # Payments must sum to 1 within this tolerance whenever the bug is sold.
@@ -142,7 +144,10 @@ def _max_k(sorted_desc: Sequence[float], deadline: float) -> int:
         return 0
     best = 0
     for k in range(1, len(sorted_desc) + 1):
-        if sorted_desc[k - 1] >= 1.0 / (k * deadline) - QUALIFY_TOL:
+        price = 1.0 / (k * deadline)
+        # = QUALIFY_TOL * max(1, price); calling max() would double this loop's cost
+        slack = QUALIFY_TOL * price if price > 1.0 else QUALIFY_TOL
+        if sorted_desc[k - 1] >= price - slack:
             best = k
     return best
 
@@ -264,11 +269,14 @@ def _grouping_matrix(n: int) -> np.ndarray:
 def _kstar_rows(sorted_desc: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
     """Row-wise ``_max_k``: largest k with k values >= 1/(k*deadline), else 0.
 
-    A zero deadline divides by zero; callers that allow one silence it.
+    A zero deadline divides by zero and leaves NaN thresholds that no value
+    meets; callers that allow one silence both warnings.
     """
     ks = np.arange(1, sorted_desc.shape[1] + 1)
+    # the prices, less their slack in place: one (rows, n) array stays alive
     thresholds = 1.0 / (ks * deadlines[:, None])
-    return np.where(sorted_desc >= thresholds - QUALIFY_TOL, ks, 0).max(axis=1)
+    thresholds -= QUALIFY_TOL * np.maximum(1.0, thresholds)
+    return np.where(sorted_desc >= thresholds, ks, 0).max(axis=1)
 
 
 def _deadline_rows(sorted_desc: np.ndarray) -> np.ndarray:
@@ -316,7 +324,8 @@ def grouping_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # splits a tie (the tied value past it would qualify k*+1), so they are the
     # members at the k*-th price; at k* = 0 none meets even the first price.
     price = 1.0 / (np.maximum(k_star, 1) * extended)
-    payer = member & (values >= price[:, None] - QUALIFY_TOL)
+    slack = QUALIFY_TOL * np.maximum(1.0, price)
+    payer = member & (values >= (price - slack)[:, None])
 
     times = np.where(payer, 0.0, np.where(member, extended[:, None], own[:, None]))
     times = np.where(sold[:, None], times, 1.0)

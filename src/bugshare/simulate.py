@@ -133,7 +133,9 @@ def _share_delays(
 
 def batch_csd_delays(values: np.ndarray, t_c: float) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per row under the fixed-deadline rule."""
-    with np.errstate(divide="ignore"):  # t_c = 0 prices every group at infinity
+    # t_c = 0 prices every group at infinity; the price-scaled slack turns that
+    # threshold into NaN, which no value meets, so k* = 0 as in ``_max_k``
+    with np.errstate(divide="ignore", invalid="ignore"):
         return _share_delays(-np.sort(-values, axis=1), np.full(values.shape[0], t_c))
 
 

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 
+from bugshare import lowerbound
+from bugshare.distributions import discretize
 from bugshare.mechanisms import Grouping, TypeProfile, gcsod_allocate
 
 # Reference values for the benchmark grid, keyed by (distribution label, n).
@@ -126,3 +128,29 @@ def lp_grid_oracle(masses, n, step=1e-3):
         if feasible.any():
             best = min(best, float(objective[feasible].min()))
     return best
+
+
+def exhaustive_max_delay_bound(spec, n, H):
+    """The max-delay bound by solving every truncation LP; (value, LPs solved).
+
+    The reference for the library's pruned search: one LP per truncation
+    point i with positive mass below it, each objective built on its own, and
+    the largest optimum kept.
+    """
+    seg = discretize(spec, H)
+    model = lowerbound.build_common_constraints(seg, n)
+    _, a_ub, b_ub, a_eq, b_eq, bounds = lowerbound._arrays(model)
+    P = np.array(seg.masses)
+    head = np.cumsum(P)
+    optima = []
+    for i in range(1, H + 1):
+        mass_below = head[i - 1]
+        if mass_below <= 0.0:
+            continue
+        c = np.zeros(len(model.variables))
+        c[1 : i + 1] = P[:i] * ((1.0 - (1.0 - mass_below) ** n) / mass_below)
+        res = lowerbound._solve_arrays(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        if res.status != 0:
+            raise RuntimeError(f"max-delay LP at i={i} ended with status {res.status}")
+        optima.append(float(res.fun))
+    return max(optima), len(optima)

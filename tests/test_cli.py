@@ -187,6 +187,9 @@ def test_lowerbound_command(capsys):
     payload = json.loads(out)
     assert payload["distribution"] == "U(0,1)"
     assert 0.3 < payload["bound"] < 1.0
+    # provenance of the pruned search over the H = 40 truncation LPs
+    assert 1 <= payload["lp_solves"] <= 40
+    assert 1 <= payload["truncation_point"] <= 40
 
 
 def test_lowerbound_rejects_bad_distribution(capsys):

@@ -134,8 +134,12 @@ def test_discretize_truncnorm_halves():
     assert seg.masses == pytest.approx((0.5, 0.5), abs=1e-14)
 
 
-@pytest.mark.parametrize("spec", [UNIFORM, NORMAL_02, NORMAL_04], ids=lambda s: s.label())
-@pytest.mark.parametrize("H", [1, 3, 10, 100])
+# U(0,0.9) at H=13: the last edge 0.9 * 13 / 13 rounds past 0.9 unless pinned
+@pytest.mark.parametrize(
+    "spec", [UNIFORM, NORMAL_02, NORMAL_04, DistributionSpec.parse("U(0,0.9)")],
+    ids=lambda s: s.label(),
+)
+@pytest.mark.parametrize("H", [1, 3, 10, 13, 100])
 def test_discretize_masses_sum_to_one(spec, H):
     seg = discretize(spec, H)
     assert abs(sum(seg.masses) - 1.0) <= 1e-12

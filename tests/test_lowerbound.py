@@ -2,19 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bugshare.distributions import DistributionSpec, discretize
 from bugshare.lowerbound import (
+    FEASIBILITY_TOL,
     Constraint,
     LPModel,
     LPStatus,
+    _max_delay_search,
     build_common_constraints,
     max_delay_lower_bound,
     solve_lp,
     sum_delay_lower_bound,
 )
 
-from helpers import lp_grid_oracle
+from helpers import exhaustive_max_delay_bound, lp_grid_oracle
 
 UNIFORM = DistributionSpec.parse("U(0,1)")
 
@@ -231,6 +234,44 @@ def test_bounds_tighten_and_converge_under_nested_refinement():
                 cell = (label, n, bound.__name__, b10, b20, b40)
                 assert b10 <= b20 + 1e-7 and b20 <= b40 + 1e-7, cell
                 assert abs(b40 - b20) <= abs(b20 - b10), cell
+
+
+@pytest.mark.parametrize("H", [20, 50])
+def test_pruned_max_bound_matches_exhaustive_scan(H):
+    for label in ("U(0,1)", "N(0.5,0.2)", "N(0.5,0.4)"):
+        spec = DistributionSpec.parse(label)
+        for n in (1, 2, 5, 10):
+            value, point, solves = _max_delay_search(spec, n, H)
+            oracle, points = exhaustive_max_delay_bound(spec, n, H)
+            cell = (label, n, value, oracle, point, solves)
+            assert abs(value - oracle) <= 1e-9, cell
+            assert 1 <= point <= H and 1 <= solves <= points, cell
+            # with several agents the optimum sits inside the grid and the
+            # certificates rule out some LPs, so the search is really pruned
+            if n >= 2:
+                assert solves < points, cell
+
+
+_uniform_priors = st.floats(0.3, 1.0).map(lambda b: DistributionSpec("uniform", hi=b))
+_normal_priors = st.builds(
+    lambda mu, sigma: DistributionSpec("truncnorm", mu=mu, sigma=sigma),
+    st.floats(-0.2, 1.2),
+    st.floats(0.05, 1.0),
+)
+
+
+@given(st.one_of(_uniform_priors, _normal_priors), st.integers(1, 10), st.integers(5, 30))
+@settings(max_examples=60, deadline=None)
+def test_pruned_max_bound_matches_exhaustive_scan_random_priors(spec, n, H):
+    # Both sides are HiGHS optima, each exact only to the solver's 1e-7
+    # tolerances.  On priors whose bound is ~0 (narrow normals near 1, many
+    # agents) a directly solved LP can stop a few 1e-9 above the value that
+    # another LP's optimum certifies for it (2.6e-9 at worst over 1,000 random
+    # cases), so the solver tolerance is the yardstick here.
+    value, point, solves = _max_delay_search(spec, n, H)
+    oracle, points = exhaustive_max_delay_bound(spec, n, H)
+    assert abs(value - oracle) <= FEASIBILITY_TOL
+    assert 1 <= point <= H and 1 <= solves <= points
 
 
 # ------------------------------------------- mechanism feasibility, by sampling

@@ -16,6 +16,7 @@ from bugshare.mechanisms import (
     gcsod_sample,
     optimal_deadline,
 )
+from bugshare.simulate import batch_csod_delays
 
 from helpers import (
     EXAMPLE_PROFILE,
@@ -211,6 +212,20 @@ def test_csod_budget_balanced(values):
     else:
         assert all(p == 0.0 for p in out.payments)
         assert all(t == 1.0 for t in out.times)
+
+
+def test_csod_large_values_meet_their_own_deadline_price():
+    # With values far above the cost, the price 1/(k*t*) of a group at its own
+    # optimal deadline can round one ulp above the value; an absolute 1e-12
+    # slack is below that ulp and the sale failed with everyone released at
+    # t* < 1 (678 of these 12,000 profiles).  The slack scales with the price.
+    for k in (1, 2, 3):
+        values = np.array([(v,) * k + (0.0,) for v in np.geomspace(1.5, 1e9, 4000)])
+        mx, sm = batch_csod_delays(values)
+        for row, profile in enumerate(values):
+            out = csod_allocate(TypeProfile(tuple(profile)))
+            assert out.sold or all(t == 1.0 for t in out.times), (profile, out)
+            assert (mx[row], sm[row]) == (max(out.times), sum(out.times)), profile
 
 
 # ------------------------------------------------------------- gcsod_allocate
