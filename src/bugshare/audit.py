@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -67,7 +67,8 @@ class Violation:
 @dataclass
 class AuditReport:
     property: str  # "SP" | "IR" | "BB" | "MONO"
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation]
+    probes: int  # misreports, profiles, outcomes or sweep points checked; never 0
 
     @property
     def passed(self) -> bool:
@@ -77,6 +78,7 @@ class AuditReport:
         return {
             "property": self.property,
             "passed": self.passed,
+            "probes": self.probes,
             "violations": [asdict(v) for v in self.violations],
         }
 
@@ -88,6 +90,7 @@ class AuditReport:
                 Violation(tuple(v["profile"]), v["agent"], v["detail"], v["amount"])
                 for v in data["violations"]
             ],
+            probes=data["probes"],
         )
 
     def to_json(self) -> str:
@@ -108,7 +111,7 @@ def _report(prop: str, violations: list[Violation], probes: int) -> AuditReport:
     """The audit's verdict; an audit that probed nothing checked nothing and raises."""
     if probes == 0:
         raise ValueError(f"{prop} audit made no probe: no profiles, agents or grid points")
-    return AuditReport(prop, violations)
+    return AuditReport(prop, violations, probes)
 
 
 def max_delay(outcome: Allocation) -> float:

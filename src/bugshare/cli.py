@@ -24,6 +24,7 @@ from .lowerbound import _max_delay_search, sum_delay_lower_bound
 from .mechanisms import (
     Grouping,
     TypeProfile,
+    _check_enumerable,
     cs_allocate,
     csd_allocate,
     csod_allocate,
@@ -178,6 +179,7 @@ def _cmd_audit(args) -> int:
         if args.mechanism == "gcsod":
 
             def realizations(profile):
+                _check_enumerable(len(profile))
                 return [
                     gcsod_allocate(profile, Grouping(bits))
                     for bits in itertools.product("LR", repeat=len(profile))

@@ -23,8 +23,13 @@ All rules are pure functions; ``gcsod_sample`` is pure given its seed.  They
 are the reference for the one array form of the same decisions below them:
 the row-wise optimal deadline and k*, the group rule's winner and extended
 deadline for many coin-flip rows at once, and ``grouping_table`` built on
-them.  The Monte Carlo kernels of :mod:`bugshare.simulate` reduce these rows
-to delays; the test suite checks exact agreement with the scalar rules.
+them.  The array form is agent-major: an (n, rows) array holds one profile
+per column, so each reduction over the agents is an elementwise pass over n
+contiguous rows instead of a short loop per profile.  The group rule sorts
+each profile once, with the right side's values negated, and reads both
+sides' descending orders off that one sort.  The Monte Carlo kernels of
+:mod:`bugshare.simulate` reduce these rows to delays; the test suite checks
+exact agreement with the scalar rules.
 """
 
 from __future__ import annotations
@@ -261,76 +266,128 @@ def gcsod_sample(profile: TypeProfile, seed: int) -> Outcome:
 
 
 def _grouping_matrix(n: int) -> np.ndarray:
-    """Boolean (2^n, n) matrix of every left/right split; True means left."""
+    """Boolean (n, 2^n) matrix of every left/right split; True means left.
+
+    Column-major, so that each split's n flags are adjacent in memory for the
+    sort over the agents.
+    """
     codes = np.arange(2**n, dtype=np.uint32)
-    return (codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1 == 1
+    return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1 == 1).T
+
+
+def _prices(n: int, deadlines: np.ndarray) -> np.ndarray:
+    """(n, rows) prices 1/(k*deadline) for k = 1..n, less their qualify slack.
+
+    A zero deadline divides by zero and leaves NaN prices that no value meets;
+    callers that allow one silence both warnings.
+    """
+    prices = 1.0 / (np.arange(1, n + 1)[:, None] * deadlines)
+    # the slack is subtracted in place: one (n, rows) array stays alive
+    prices -= QUALIFY_TOL * np.maximum(1.0, prices)
+    return prices
+
+
+def _largest_k(meets: np.ndarray) -> np.ndarray:
+    """Per column, the largest k whose k-th value meets its price, else 0.
+
+    k has the smallest unsigned type that holds n, so the (n, rows) product
+    is a fraction of the size of an int64 one.
+    """
+    n = meets.shape[0]
+    return (meets * np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None]).max(axis=0)
 
 
 def _kstar_rows(sorted_desc: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
     """Row-wise ``_max_k``: largest k with k values >= 1/(k*deadline), else 0.
 
-    A zero deadline divides by zero and leaves NaN thresholds that no value
-    meets; callers that allow one silence both warnings.
+    ``sorted_desc`` is agent-major, (n, rows), each column sorted in
+    descending order; ``deadlines`` holds one deadline per column, or one for
+    all of them.
     """
-    ks = np.arange(1, sorted_desc.shape[1] + 1)
-    # the prices, less their slack in place: one (rows, n) array stays alive
-    thresholds = 1.0 / (ks * deadlines[:, None])
-    thresholds -= QUALIFY_TOL * np.maximum(1.0, thresholds)
-    return np.where(sorted_desc >= thresholds, ks, 0).max(axis=1)
+    return _largest_k(sorted_desc >= _prices(sorted_desc.shape[0], deadlines))
 
 
 def _deadline_rows(sorted_desc: np.ndarray) -> np.ndarray:
-    """Row-wise ``_optimal_deadline``, capped at 1.
+    """Row-wise ``_optimal_deadline`` of agent-major sorted columns, capped at 1.
 
     min over k of 1/(k*v_(k)) is 1/max(k*v_(k)), bit for bit, because the
     rounded reciprocal is monotone; capping the maximum at 1 caps the deadline.
     """
-    ks = np.arange(1, sorted_desc.shape[1] + 1)
-    return 1.0 / np.maximum((ks * sorted_desc).max(axis=1), 1.0)
+    ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
+    return 1.0 / np.maximum((ks * sorted_desc).max(axis=0), 1.0)
 
 
 def _group_rows(values: np.ndarray, left: np.ndarray):
     """Row-wise decision of ``gcsod_allocate`` under the coin flips ``left``.
 
-    Returns ``(left_wins, sold, own, extended, k_star)``: which side wins
-    (exact ties favour the left), whether the bug sells, the winner's own
-    deadline, the loser's deadline under which the winner shares, and the
-    winner's sharing-set size.  Each side is sorted once with non-members
-    filled by 0, which never meets a 1/(k*t) >= 1/n price.
+    Both arrays are agent-major, (n, rows) with one profile per column, so
+    that every step after the sort reduces over contiguous rows.  Returns
+    ``(left_wins, sold, own, extended, k_star)``: which side wins (exact ties
+    favour the left), whether the bug sells, the winner's own deadline, the
+    loser's deadline under which the winner shares, and the winner's
+    sharing-set size.
+
+    One sort serves both sides.  Right members are negated (multiplied by -1,
+    which is exact), so each ascending column holds the right side first,
+    largest value first, and the left side last.  Reversed, the column is the
+    left side in descending order; negated, the right side.  Either way the
+    other side's members follow as values <= 0, which never meet a positive
+    price and never lift k*v_(k) to the cap of 1, so each side's deadline and
+    k* are those of its own members, as in the scalar rule.  Only where the
+    two deadlines tie does k* decide the winner, so it is computed there
+    alone.
     """
-    l_sorted = -np.sort(-np.where(left, values, 0.0), axis=1)
-    r_sorted = -np.sort(-np.where(left, 0.0, values), axis=1)
+    n = values.shape[0]
+    s = np.ascontiguousarray(np.sort(values * (2.0 * left - 1.0), axis=0))
+    l_sorted = s[::-1]
+    r_sorted = -s
     dl = _deadline_rows(l_sorted)
     dr = _deadline_rows(r_sorted)
-    left_wins = (dl < dr) | ((dl == dr) & (_kstar_rows(l_sorted, dl) > 0))
-    sold = left_wins | (dr < dl) | (_kstar_rows(r_sorted, dr) > 0)
+    left_wins = dl < dr
+    sold = dl != dr
+    tie = np.flatnonzero(~sold)
+    prices = _prices(n, dl[tie])
+    left_funds = (l_sorted.take(tie, axis=1) >= prices).any(axis=0)
+    left_wins[tie] = left_funds
+    sold[tie] = left_funds | (r_sorted.take(tie, axis=1) >= prices).any(axis=0)
     own = np.where(left_wins, dl, dr)
     extended = np.where(left_wins, dr, dl)
-    k_star = _kstar_rows(np.where(left_wins[:, None], l_sorted, r_sorted), extended)
-    return left_wins, sold, own, extended, k_star
+    prices = _prices(n, extended)
+    meets = ((l_sorted >= prices) & left_wins) | ((r_sorted >= prices) & ~left_wins)
+    return left_wins, sold, own, extended, _largest_k(meets)
 
 
 def grouping_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent times and payments of the group rule for all 2^n groupings.
 
-    ``_group_rows`` on the grouping matrix.  The scalar rule is the reference
+    ``_group_rows`` on the (n, 2^n) grouping matrix; the results are returned
+    as (2^n, n) views, one grouping per row.  The scalar rule is the reference
     and the test suite checks exact agreement.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)[:, None]
     left = _grouping_matrix(values.shape[0])
-    left_wins, sold, own, extended, k_star = _group_rows(values[None, :], left)
-    member = left == left_wins[:, None]
+    left_wins, sold, own, extended, k_star = _group_rows(values, left)
+    member = left == left_wins
     # The payers are the winner's top k* members by (value, index).  k* never
     # splits a tie (the tied value past it would qualify k*+1), so they are the
     # members at the k*-th price; at k* = 0 none meets even the first price.
     price = 1.0 / (np.maximum(k_star, 1) * extended)
     slack = QUALIFY_TOL * np.maximum(1.0, price)
-    payer = member & (values >= (price - slack)[:, None])
+    payer = member & (values >= price - slack)
 
-    times = np.where(payer, 0.0, np.where(member, extended[:, None], own[:, None]))
-    times = np.where(sold[:, None], times, 1.0)
-    payments = np.where(payer, (1.0 / np.maximum(k_star, 1))[:, None], 0.0)
-    return times, payments
+    times = np.where(payer, 0.0, np.where(member, extended, own))
+    times = np.where(sold, times, 1.0)
+    payments = np.where(payer, 1.0 / np.maximum(k_star, 1), 0.0)
+    return times.T, payments.T
+
+
+def _check_enumerable(n: int, cap: int = ENUMERATION_CAP) -> None:
+    """Raise ``ValueError`` when the 2^n groupings of n agents exceed the cap."""
+    if n > cap:
+        raise ValueError(
+            f"exact grouping enumeration capped at n={cap}; "
+            f"got n={n} (use Monte Carlo sampling instead)"
+        )
 
 
 def gcsod_expected(profile: TypeProfile, cap: int = ENUMERATION_CAP) -> ExpectedOutcome:
@@ -339,12 +396,7 @@ def gcsod_expected(profile: TypeProfile, cap: int = ENUMERATION_CAP) -> Expected
     The max-delay figure is the expectation of the realized maximum, not the
     maximum of the per-agent expectations.
     """
-    n = len(profile)
-    if n > cap:
-        raise ValueError(
-            f"exact grouping enumeration capped at n={cap}; "
-            f"got n={n} (use Monte Carlo sampling instead)"
-        )
+    _check_enumerable(len(profile), cap)
     times, payments = grouping_table(np.array(profile.values))
     return ExpectedOutcome(
         times=tuple(float(t) for t in times.mean(axis=0)),

@@ -1,12 +1,19 @@
 """Monte-Carlo and exact-expectation estimation of mechanism delays under priors.
 
-Profiles are sampled in chunks from a seeded stream.  The array form of the
-allocation rules (row-wise deadline, k* and group-rule decision) lives in
-:mod:`bugshare.mechanisms` next to the scalar rules it mirrors; this module
-only reduces its decisions to the max and sum of the allocation times.  The
-group rule runs either with one sampled coin-flip vector per profile
-(``monte_carlo``) or with the full 2^n grouping enumeration per profile
-(``exact_grouping``).
+Profiles are sampled in chunks of ``_CHUNK_ROWS`` from a seeded stream.  At
+n = 10 a chunk's (n, rows) float temporaries are 1.3 MB each, so a kernel's
+working set stays in a 2-4 MB per-core cache.  The value and coin streams
+are read in the same order whatever the chunk size, so the draws do not
+depend on it.
+
+The array form of the allocation rules (row-wise deadline, k* and
+group-rule decision) lives in :mod:`bugshare.mechanisms` next to the scalar
+rules it mirrors.  It works on agent-major (n, rows) arrays, so each
+``batch_*_delays`` kernel takes the sampled (rows, n) block and transposes it
+once; this module only reduces the decisions to the max and sum of the
+allocation times.  The group rule runs either with one sampled coin-flip
+vector per profile (``monte_carlo``) or with the full 2^n grouping
+enumeration per profile (``exact_grouping``).
 
 ``reproduce_table`` assembles the benchmark grid: expected max/sum delay of
 the plain and group cost-sharing rules plus the two LP lower bounds, for
@@ -38,7 +45,7 @@ MODES = ("monte_carlo", "exact_grouping")
 TABLE_DISTRIBUTIONS = ("U(0,1)", "N(0.5,0.2)", "N(0.5,0.4)")
 TABLE_AGENT_COUNTS = (1, 2, 5, 10)
 
-_CHUNK_ROWS = 200_000
+_CHUNK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -121,14 +128,21 @@ class TableRow:
 def _share_delays(
     sorted_desc: np.ndarray, deadlines: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(max delay, sum delay) per row of cost sharing on [0, deadline].
+    """(max delay, sum delay) per column of cost sharing on [0, deadline].
 
-    k* = n means the row sold and nobody waits; an unsold row has k* = 0 and
-    everyone waits until the deadline, as in ``_share_outcome``.
+    ``sorted_desc`` is agent-major, (n, rows); ``deadlines`` holds one
+    deadline per column, or one for all of them.  k* = n means the row sold
+    and nobody waits; an unsold row has k* = 0 and everyone waits until the
+    deadline, as in ``_share_outcome``.
     """
-    n = sorted_desc.shape[1]
+    n = sorted_desc.shape[0]
     k_star = _kstar_rows(sorted_desc, deadlines)
     return np.where(k_star == n, 0.0, deadlines), (n - k_star) * deadlines
+
+
+def _sorted_desc(values: np.ndarray) -> np.ndarray:
+    """Agent-major (n, rows) copy of (rows, n) ``values``, each column sorted descending."""
+    return np.ascontiguousarray(np.sort(values.T, axis=0)[::-1])
 
 
 def batch_csd_delays(values: np.ndarray, t_c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +150,7 @@ def batch_csd_delays(values: np.ndarray, t_c: float) -> tuple[np.ndarray, np.nda
     # t_c = 0 prices every group at infinity; the price-scaled slack turns that
     # threshold into NaN, which no value meets, so k* = 0 as in ``_max_k``
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _share_delays(-np.sort(-values, axis=1), np.full(values.shape[0], t_c))
+        return _share_delays(_sorted_desc(values), np.array([t_c]))
 
 
 def batch_cs_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,14 +159,14 @@ def batch_cs_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def batch_csod_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per row under the optimal-deadline rule."""
-    sorted_desc = -np.sort(-values, axis=1)
+    sorted_desc = _sorted_desc(values)
     return _share_delays(sorted_desc, _deadline_rows(sorted_desc))
 
 
 def batch_gcsod_delays(values: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per row of the group rule under given coin flips."""
     n = values.shape[1]
-    left_wins, sold, own, extended, k_star = _group_rows(values, left)
+    left_wins, sold, own, extended, k_star = _group_rows(values.T, left.T)
     n_left = left.sum(axis=1)
     n_win = np.where(left_wins, n_left, n - n_left)
     n_lose = n - n_win

@@ -98,7 +98,11 @@ def test_audit_sp_cs_passes(capsys):
         ["audit", "--property", "sp", "--mechanism", "cs", "--profile", "0.9,0.8,0.26,0.26"],
     )
     assert code == 0
-    assert json.loads(out)["passed"] is True
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    # 4 agents x 53 misreports: the 50-point grid plus the entry prices 1/2,
+    # 1/3 and 1/4 (1/1 is on the grid); no agent's own value is on the grid
+    assert payload["probes"] == 212
 
 
 def test_audit_bb_csd_flags_budget_break(capsys):
@@ -127,6 +131,16 @@ def test_audit_bb_gcsod_all_groupings_pass(capsys):
     )
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_audit_bb_gcsod_rejects_profiles_past_the_enumeration_cap(capsys):
+    profile = ",".join(["0.5"] * 17)
+    code, out, err = _run_capture(
+        capsys, ["audit", "--property", "bb", "--mechanism", "gcsod", "--profile", profile]
+    )
+    assert code == 1
+    assert out == ""
+    assert "exact grouping enumeration capped at n=16; got n=17" in err
 
 
 def test_audit_mono_cs_passes(capsys):

@@ -128,6 +128,67 @@ def test_array_rules_match_scalar_rules_on_ties_and_thresholds(values, t_c):
         assert sm[0] == pytest.approx(sum(out.times), abs=1e-12)
 
 
+# The examples hit the columns where k* decides the winner: both sides'
+# deadlines tie below 1 (at 0.625 and at 0.3125), tie at 1 with only the
+# right side able to pay (0.5 alone against 1.0), and tie at 1 with neither
+# side able to pay.
+@given(
+    st.integers(7, 12).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.sampled_from(TIE_GRID), min_size=n, max_size=n).map(tuple),
+            st.lists(
+                st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=6
+            ),
+        )
+    ),
+    st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+)
+@example(((0.8,) * 4 + (0.0,) * 3, [[True, True, False, False] + [True] * 3]), 0.5)
+@example(((0.8,) * 8, [[True] * 4 + [False] * 4, [False] * 4 + [True] * 4]), 0.625)
+@example(((0.5, 1.0) + (0.0,) * 5, [[True, False] + [True] * 5]), 1.0)
+@example(((0.1,) * 12, [[True, False] * 6]), 0.25)
+@settings(max_examples=100, deadline=None)
+def test_agent_major_kernels_match_scalar_rules_past_six_agents(case, t_c):
+    values, splits = case
+    profile = TypeProfile(values)
+    left = np.array(splits)
+    rows = np.tile(values, (len(splits), 1))
+    g_mx, g_sm = batch_gcsod_delays(rows, left)
+    for r, split in enumerate(splits):
+        side = tuple("L" if flag else "R" for flag in split)
+        out = gcsod_allocate(profile, Grouping(side))
+        assert g_mx[r] == max(out.times)
+        assert g_sm[r] == pytest.approx(sum(out.times), abs=1e-12)
+    for (mx, sm), out in (
+        (batch_cs_delays(rows), cs_allocate(profile)),
+        (batch_csd_delays(rows, t_c), csd_allocate(profile, t_c)),
+        (batch_csod_delays(rows), csod_allocate(profile)),
+    ):
+        assert np.all(mx == max(out.times))
+        assert sm == pytest.approx(sum(out.times), abs=1e-12)
+
+
+def test_kernels_treat_rows_independently():
+    # one call on stacked rows equals calls on its pieces, row for row, with
+    # random and tie-grid rows mixed so that every piece holds deadline ties
+    rng = np.random.default_rng(21)
+    values = np.concatenate([_random_batch(rng, 500, 5), rng.choice(TIE_GRID, (500, 5))])
+    values = values[rng.permutation(1000)]
+    left = rng.random((1000, 5)) < 0.5
+    kernels = (
+        lambda v, g: batch_cs_delays(v),
+        lambda v, g: batch_csd_delays(v, 0.5),
+        lambda v, g: batch_csod_delays(v),
+        batch_gcsod_delays,
+    )
+    bounds = (0, 1, 8, 300, 1000)
+    for kernel in kernels:
+        whole = kernel(values, left)
+        pieces = [kernel(values[a:b], left[a:b]) for a, b in zip(bounds, bounds[1:])]
+        for k in range(2):
+            assert np.array_equal(whole[k], np.concatenate([p[k] for p in pieces]))
+
+
 # ---------------------------------------------------------------- estimation
 
 
@@ -143,6 +204,25 @@ def test_estimate_chunking_invariant(monkeypatch):
     full = estimate(config)
     monkeypatch.setattr(sim, "_CHUNK_ROWS", 7_000)
     assert estimate(config) == full
+
+
+@pytest.mark.parametrize("mechanism", ["csod", "gcsod"])
+def test_estimate_chunk_size_moves_means_only_by_rounding(monkeypatch, mechanism):
+    # chunks read the value and coin streams in the same order, so only the
+    # order of the per-chunk sums can differ
+    import bugshare.simulate as sim
+
+    config = SimulationConfig(mechanism, UNIFORM, n=5, samples=30_000, seed=15)
+    full = estimate(config)
+    monkeypatch.setattr(sim, "_CHUNK_ROWS", 7_000)
+    chunked = estimate(config)
+    for field in (
+        "expected_max_delay",
+        "expected_sum_delay",
+        "standard_error_max",
+        "standard_error_sum",
+    ):
+        assert getattr(chunked, field) == pytest.approx(getattr(full, field), abs=1e-12)
 
 
 def test_cs_uniform_two_agents_analytic_anchor():
