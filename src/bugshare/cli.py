@@ -12,9 +12,9 @@ violations (so CI can assert that the optimal-deadline rule is gameable).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,12 +24,12 @@ from .lowerbound import _max_delay_search, sum_delay_lower_bound
 from .mechanisms import (
     Grouping,
     TypeProfile,
-    _check_enumerable,
     cs_allocate,
     csd_allocate,
     csod_allocate,
     gcsod_allocate,
     gcsod_expected,
+    gcsod_realizations,
     gcsod_sample,
     optimal_deadline,
 )
@@ -137,19 +137,7 @@ def _build_parser() -> _Parser:
 def _cmd_allocate(args) -> int:
     profile = _parse_profile(args.profile)
     payload: dict = {"mechanism": args.mechanism, "profile": list(profile.values)}
-    if args.mechanism == "cs":
-        outcome = cs_allocate(profile)
-    elif args.mechanism == "csd":
-        if args.t_c is None:
-            raise _UsageError("--mechanism csd requires --t-c")
-        outcome = csd_allocate(profile, args.t_c)
-        payload["t_c"] = args.t_c
-    elif args.mechanism == "csod":
-        deadline = optimal_deadline(profile)
-        outcome = csod_allocate(profile)
-        payload["deadline"] = deadline.t_star
-        payload["k_star"] = deadline.k_star
-    else:
+    if args.mechanism == "gcsod":
         if args.grouping is not None:
             grouping = Grouping.from_string(args.grouping)
             outcome = gcsod_allocate(profile, grouping)
@@ -158,6 +146,13 @@ def _cmd_allocate(args) -> int:
             seed = 0 if args.seed is None else args.seed
             outcome = gcsod_sample(profile, seed)
             payload["seed"] = seed
+    else:
+        outcome = _mechanism_rule(args.mechanism, args.t_c)(profile)
+        if args.mechanism == "csd":
+            payload["t_c"] = args.t_c
+        elif args.mechanism == "csod":
+            deadline = optimal_deadline(profile)
+            payload.update(deadline=deadline.t_star, k_star=deadline.k_star)
     payload.update(
         {"times": list(outcome.times), "payments": list(outcome.payments), "sold": outcome.sold}
     )
@@ -176,18 +171,8 @@ def _cmd_audit(args) -> int:
     elif args.property == "ir":
         report = audit_mod.check_ir(rule, profiles)
     elif args.property == "bb":
-        if args.mechanism == "gcsod":
-
-            def realizations(profile):
-                _check_enumerable(len(profile))
-                return [
-                    gcsod_allocate(profile, Grouping(bits))
-                    for bits in itertools.product("LR", repeat=len(profile))
-                ]
-
-            report = audit_mod.check_bb(realizations, profiles)
-        else:
-            report = audit_mod.check_bb(rule, profiles)
+        realizations = gcsod_realizations if args.mechanism == "gcsod" else rule
+        report = audit_mod.check_bb(realizations, profiles)
     else:
         grid = tuple(np.linspace(0.0, 1.0, args.points))
         report = audit_mod.check_monotonicity(rule, profiles, grid)
@@ -240,7 +225,7 @@ def _cmd_simulate(args) -> int:
     )
     report = estimate(config)
     payload = {"distribution": spec.label(), "n": args.n, "mechanism": args.mechanism}
-    payload.update(report.to_dict())
+    payload.update(asdict(report))
     _emit(json.dumps(payload, indent=2), args.output)
     return 0
 

@@ -47,11 +47,6 @@ class DistributionSpec:
                     f"on [{self.lo:g}, {self.hi:g}]"
                 )
 
-    @property
-    def upper(self) -> float:
-        """Upper end of the support (the U in [0, U])."""
-        return self.hi
-
     @classmethod
     def parse(cls, text: str) -> "DistributionSpec":
         """Parse ``U(lo,hi)`` or ``N(mu,sigma)`` (the latter conditioned on [0,1])."""

@@ -34,6 +34,7 @@ exact agreement with the scalar rules.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -388,6 +389,15 @@ def _check_enumerable(n: int, cap: int = ENUMERATION_CAP) -> None:
             f"exact grouping enumeration capped at n={cap}; "
             f"got n={n} (use Monte Carlo sampling instead)"
         )
+
+
+def gcsod_realizations(profile: TypeProfile, cap: int = ENUMERATION_CAP) -> list[Outcome]:
+    """The group rule's outcome under each of the 2^n equiprobable groupings."""
+    _check_enumerable(len(profile), cap)
+    return [
+        gcsod_allocate(profile, Grouping(bits))
+        for bits in itertools.product("LR", repeat=len(profile))
+    ]
 
 
 def gcsod_expected(profile: TypeProfile, cap: int = ENUMERATION_CAP) -> ExpectedOutcome:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import json
 import csv as _csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,20 +86,6 @@ class SimulationReport:
     samples_used: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "expected_max_delay": self.expected_max_delay,
-            "expected_sum_delay": self.expected_sum_delay,
-            "standard_error_max": self.standard_error_max,
-            "standard_error_sum": self.standard_error_sum,
-            "samples_used": self.samples_used,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimulationReport":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class TableRow:
@@ -109,20 +95,6 @@ class TableRow:
     objective: str  # "max" | "sum"
     value: float
     stderr: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "distribution": self.distribution,
-            "n": self.n,
-            "mechanism": self.mechanism,
-            "objective": self.objective,
-            "value": self.value,
-            "stderr": self.stderr,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TableRow":
-        return cls(**data)
 
 
 def _share_delays(
@@ -286,7 +258,7 @@ def table_to_csv(records: list[TableRow]) -> str:
 
 
 def table_to_json(records: list[TableRow]) -> str:
-    return json.dumps([row.to_dict() for row in records], indent=2)
+    return json.dumps([asdict(row) for row in records], indent=2)
 
 
 def table_from_csv(text: str) -> list[TableRow]:

@@ -138,8 +138,7 @@ def exhaustive_max_delay_bound(spec, n, H):
     the largest optimum kept.
     """
     seg = discretize(spec, H)
-    model = lowerbound.build_common_constraints(seg, n)
-    _, a_ub, b_ub, a_eq, b_eq, bounds = lowerbound._arrays(model)
+    a_ub, b_ub, bounds = lowerbound.build_common_constraints(seg, n)
     P = np.array(seg.masses)
     head = np.cumsum(P)
     optima = []
@@ -147,10 +146,7 @@ def exhaustive_max_delay_bound(spec, n, H):
         mass_below = head[i - 1]
         if mass_below <= 0.0:
             continue
-        c = np.zeros(len(model.variables))
+        c = np.zeros(a_ub.shape[1])
         c[1 : i + 1] = P[:i] * ((1.0 - (1.0 - mass_below) ** n) / mass_below)
-        res = lowerbound._solve_arrays(c, a_ub, b_ub, a_eq, b_eq, bounds)
-        if res.status != 0:
-            raise RuntimeError(f"max-delay LP at i={i} ended with status {res.status}")
-        optima.append(float(res.fun))
+        optima.append(float(lowerbound._solve(c, a_ub, b_ub, bounds).fun))
     return max(optima), len(optima)

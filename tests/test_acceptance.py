@@ -26,14 +26,13 @@ from bugshare.audit import (
     verify_alpha_bound,
 )
 from bugshare.mechanisms import (
-    Grouping,
     Outcome,
     TypeProfile,
     cs_allocate,
     csd_allocate,
     csod_allocate,
-    gcsod_allocate,
     gcsod_expected,
+    gcsod_realizations,
     optimal_deadline,
 )
 from bugshare.distributions import DistributionSpec
@@ -189,14 +188,6 @@ def test_criterion_5_property_suites():
 
     bb_cs = check_bb(cs_allocate, profiles)
     bb_csod = check_bb(csod_allocate, profiles)
-
-    def gcsod_realizations(profile):
-        import itertools
-
-        return [
-            gcsod_allocate(profile, Grouping(bits))
-            for bits in itertools.product("LR", repeat=len(profile))
-        ]
 
     bb_gcsod = check_bb(gcsod_realizations, small)
 

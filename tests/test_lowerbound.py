@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 from bugshare.distributions import DistributionSpec, discretize
 from bugshare.lowerbound import (
     FEASIBILITY_TOL,
-    Constraint,
-    LPModel,
-    LPStatus,
+    _arrays,
     _max_delay_search,
+    _solve,
     build_common_constraints,
     max_delay_lower_bound,
-    solve_lp,
     sum_delay_lower_bound,
 )
 
@@ -22,51 +20,86 @@ from helpers import exhaustive_max_delay_bound, lp_grid_oracle
 UNIFORM = DistributionSpec.parse("U(0,1)")
 
 
-def _point_satisfies(model, point, tol=1e-9):
-    for con in model.constraints:
-        lhs = sum(c * point[name] for name, c in con.coeffs.items())
-        if con.sense == "<=" and lhs > con.rhs + tol:
-            return False, con.name
-        if con.sense == ">=" and lhs < con.rhs - tol:
-            return False, con.name
-        if con.sense == "==" and abs(lhs - con.rhs) > tol:
-            return False, con.name
-    return True, None
-
-
 # ----------------------------------------------------------- model structure
 
 
+def test_h2_arrays_match_the_written_out_system():
+    # U(0,1), H=2, n=2: delta = 1/2, masses P = (1/2, 1/2), 1/n = 1/2.
+    # Columns t_0 t_1 t_2 p_0 p_1 p_2 C; each row is one formula of the
+    # module docstring moved to "<= rhs" form.
+    h = 0.5
+    expected_a = np.array(
+        [
+            # chain: t_0 <= 1, t_1 - t_0 <= 0, t_2 - t_1 <= 0
+            [1, 0, 0, 0, 0, 0, 0],
+            [-1, 1, 0, 0, 0, 0, 0],
+            [0, -1, 1, 0, 0, 0, 0],
+            # i=0: 0 <= p_0 <= 0
+            [0, 0, 0, -1, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0, 0],
+            # i=1: lower d(1-t_1) - d(1-t_1) = 0 <= p_1; upper p_1 <= d(t_0 - t_1)
+            [0, 0, 0, 0, -1, 0, 0],
+            [-h, h, 0, 0, 1, 0, 0],
+            # i=2: lower d(t_1 - t_2) <= p_2; upper p_2 <= d(t_0 - t_2) + d(t_1 - t_2)
+            [0, h, -h, 0, 0, -1, 0],
+            [-h, -h, 2 * h, 0, 0, 1, 0],
+            # budget: P_1 p_0 + P_2 p_1 <= (1 - C)/n <= P_1 p_1 + P_2 p_2
+            [0, 0, 0, h, h, 0, h],
+            [0, 0, 0, 0, -h, -h, -h],
+            # allocation: C <= P_1 t_0 + P_2 t_1
+            [-h, -h, 0, 0, 0, 0, 1],
+            # C <= 1, -C <= 0
+            [0, 0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 0, 0, 0, -1],
+        ],
+        dtype=float,
+    )
+    expected_b = np.array([1, 0, 0, 0, 0, 0, 0, 0, 0, h, -h, 0, 1, 0], dtype=float)
+    a_ub, b_ub, bounds = build_common_constraints(discretize(UNIFORM, 2), n=2)
+    assert a_ub.shape == (14, 7)
+    np.testing.assert_array_equal(a_ub, expected_a)
+    np.testing.assert_array_equal(b_ub, expected_b)
+    assert bounds == [(0.0, 1.0)] * 3 + [(None, None)] * 3 + [(0.0, 1.0)]
+    # the grid's own rows are the first 3H+3
+    np.testing.assert_array_equal(_arrays(2, h), expected_a[:9])
+
+
 def test_h1_variables_and_p0_pinned():
-    seg = discretize(UNIFORM, 1)
-    model = build_common_constraints(seg, n=3)
-    assert model.variables == ["t_0", "t_1", "p_0", "p_1", "C"]
+    a_ub, b_ub, bounds = build_common_constraints(discretize(UNIFORM, 1), n=3)
+    # t_0 t_1 p_0 p_1 C
+    assert a_ub.shape == (11, 5) and b_ub.shape == (11,) and len(bounds) == 5
     # both i=0 sandwich rows degenerate to 0 <= p_0 <= 0
-    hi = solve_lp(model.with_objective({"p_0": -1.0}))
-    lo = solve_lp(model.with_objective({"p_0": 1.0}))
-    assert hi.objective_value == pytest.approx(0.0, abs=1e-9)
-    assert lo.objective_value == pytest.approx(0.0, abs=1e-9)
+    for sign in (-1.0, 1.0):
+        c = np.zeros(5)
+        c[2] = sign
+        assert _solve(c, a_ub, b_ub, bounds).fun == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("H", [1, 2, 5, 40])
 def test_constraint_count_breakdown(H):
-    model = build_common_constraints(discretize(UNIFORM, H), n=2)
-    names = [c.name for c in model.constraints]
-    assert sum(n.startswith("chain") for n in names) == H + 1
-    assert sum(n.startswith("pay_lo") for n in names) == H + 1
-    assert sum(n.startswith("pay_hi") for n in names) == H + 1
-    assert sum(n.startswith("budget") for n in names) == 2
-    assert names.count("alloc_time") == 1
-    assert names.count("c_hi") + names.count("c_lo") == 2
-    assert len(names) == 3 * H + 8
+    a_ub, b_ub, _ = build_common_constraints(discretize(UNIFORM, H), n=2)
+    assert a_ub.shape == (3 * H + 8, 2 * H + 3) and b_ub.shape == (3 * H + 8,)
+    t, p, c = a_ub[:, : H + 1], a_ub[:, H + 1 : 2 * H + 2], a_ub[:, -1]
+    chain, sandwich = slice(0, H + 1), slice(H + 1, 3 * H + 3)
+    budget, alloc, c_rows = slice(3 * H + 3, 3 * H + 5), 3 * H + 5, slice(3 * H + 6, None)
+    # H+1 chain rows on t alone
+    assert t[chain].any(axis=1).all() and not p[chain].any() and not c[chain].any()
+    # H+1 lower/upper sandwich pairs, pair i pinning p_i from below and above
+    pins = np.repeat(np.eye(H + 1), 2, axis=0) * np.tile([-1.0, 1.0], H + 1)[:, None]
+    np.testing.assert_array_equal(p[sandwich], pins)
+    assert not c[sandwich].any()
+    # two budget rows on p and C, one allocation row on t and C, two rows on C
+    assert not t[budget].any() and p[budget].any(axis=1).all() and c[budget].all()
+    assert t[alloc].any() and not p[alloc].any() and c[alloc] == 1.0
+    assert not a_ub[c_rows, :-1].any()
+    np.testing.assert_array_equal(c[c_rows], [1.0, -1.0])
 
 
 def test_bounds_present_for_every_variable():
-    model = build_common_constraints(discretize(UNIFORM, 3), n=1)
-    for i in range(4):
-        assert model.bounds[f"t_{i}"] == (0.0, 1.0)
-        assert model.bounds[f"p_{i}"] == (None, None)
-    assert model.bounds["C"] == (0.0, 1.0)
+    _, _, bounds = build_common_constraints(discretize(UNIFORM, 3), n=1)
+    assert bounds[:4] == [(0.0, 1.0)] * 4
+    assert bounds[4:8] == [(None, None)] * 4
+    assert bounds[8] == (0.0, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
@@ -74,107 +107,42 @@ def test_bounds_present_for_every_variable():
 def test_unsold_point_always_feasible(label, n):
     # t_i = 1, p_i = 0, C = 1 satisfies every row of every model
     spec = DistributionSpec.parse(label)
-    model = build_common_constraints(discretize(spec, 8), n)
-    point = {name: 0.0 for name in model.variables}
-    point.update({f"t_{i}": 1.0 for i in range(9)})
-    point["C"] = 1.0
-    ok, name = _point_satisfies(model, point)
-    assert ok, f"violated {name}"
+    a_ub, b_ub, _ = build_common_constraints(discretize(spec, 8), n)
+    x = np.concatenate([np.ones(9), np.zeros(9), [1.0]])
+    assert (a_ub @ x <= b_ub + 1e-9).all(), np.flatnonzero(a_ub @ x > b_ub + 1e-9)
 
 
-def test_model_validate_rejects_unknown_variables():
-    model = LPModel(variables=["x"], constraints=[Constraint("bad", {"y": 1.0}, "<=", 0.0)])
-    with pytest.raises(ValueError):
-        model.validate()
-    with pytest.raises(ValueError):
-        Constraint("bad", {}, "<>", 0.0)
-
-
-# ------------------------------------------------------------------ solve_lp
+# -------------------------------------------------------------------- _solve
 
 
 def test_solve_min_x_above_three():
-    model = LPModel(
-        variables=["x"],
-        constraints=[Constraint("floor", {"x": 1.0}, ">=", 3.0)],
-        objective={"x": 1.0},
-        bounds={"x": (None, None)},
-    )
-    sol = solve_lp(model)
-    assert sol.status is LPStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
-    assert sol.variable_values["x"] == pytest.approx(3.0, abs=1e-9)
+    res = _solve([1.0], [[-1.0]], [-3.0], [(None, None)])
+    assert res.fun == pytest.approx(3.0, abs=1e-9)
+    assert res.x[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_solve_chain_only_floor_is_zero():
+    # the grid's chain rows alone let t_H fall to 0
     H = 5
-    variables = [f"t_{i}" for i in range(H + 1)]
-    constraints = [Constraint("chain_top", {"t_0": 1.0}, "<=", 1.0)]
-    constraints += [
-        Constraint(f"chain_{i}", {f"t_{i}": 1.0, f"t_{i-1}": -1.0}, "<=", 0.0)
-        for i in range(1, H + 1)
-    ]
-    model = LPModel(
-        variables=variables,
-        constraints=constraints,
-        objective={f"t_{H}": 1.0},
-        bounds={v: (0.0, 1.0) for v in variables},
-    )
-    sol = solve_lp(model)
-    assert sol.status is LPStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
+    chain = _arrays(H, 1.0 / H)[: H + 1, : H + 1]
+    b = np.zeros(H + 1)
+    b[0] = 1.0
+    c = np.zeros(H + 1)
+    c[H] = 1.0
+    res = _solve(c, chain, b, [(0.0, 1.0)] * (H + 1))
+    assert res.fun == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solve_detects_infeasible():
-    model = LPModel(
-        variables=["x"],
-        constraints=[
-            Constraint("lo", {"x": 1.0}, ">=", 2.0),
-            Constraint("hi", {"x": 1.0}, "<=", 1.0),
-        ],
-        objective={"x": 1.0},
-        bounds={"x": (None, None)},
-    )
-    assert solve_lp(model).status is LPStatus.INFEASIBLE
+    # x >= 2 and x <= 1
+    with pytest.raises(RuntimeError, match="status 2"):
+        _solve([1.0], [[-1.0], [1.0]], [-2.0, 1.0], [(None, None)])
 
 
 def test_solve_detects_unbounded():
-    model = LPModel(
-        variables=["x"],
-        constraints=[Constraint("hi", {"x": 1.0}, "<=", 1.0)],
-        objective={"x": 1.0},
-        bounds={"x": (None, None)},
-    )
-    assert solve_lp(model).status is LPStatus.UNBOUNDED
-
-
-def test_equality_constraints_supported():
-    model = LPModel(
-        variables=["x", "y"],
-        constraints=[
-            Constraint("pin", {"x": 1.0, "y": 1.0}, "==", 2.0),
-            Constraint("gap", {"x": 1.0, "y": -1.0}, ">=", 0.0),
-        ],
-        objective={"x": 1.0},
-        bounds={"x": (0.0, None), "y": (0.0, None)},
-    )
-    sol = solve_lp(model)
-    assert sol.status is LPStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
-
-
-# ----------------------------------------------------------- LP text export
-
-
-def test_lp_text_sections_and_round_trippable_numbers():
-    model = build_common_constraints(discretize(UNIFORM, 2), n=2)
-    model.objective = {"t_1": 0.5, "t_2": 0.5}
-    text = model.to_lp_text()
-    assert text.startswith("Minimize")
-    for section in ("Subject To", "Bounds", "End"):
-        assert section in text
-    assert "p_1 free" in text
-    assert "budget_lo:" in text
+    # min x subject to x <= 1 only
+    with pytest.raises(RuntimeError, match="status 3"):
+        _solve([1.0], [[1.0]], [1.0], [(None, None)])
 
 
 # ---------------------------------------------------------------- the bounds

@@ -13,6 +13,7 @@ from bugshare.mechanisms import (
     csod_allocate,
     gcsod_allocate,
     gcsod_expected,
+    gcsod_realizations,
     gcsod_sample,
     optimal_deadline,
 )
@@ -21,6 +22,7 @@ from bugshare.simulate import batch_csod_delays
 from helpers import (
     EXAMPLE_PROFILE,
     brute_force_sharing_set,
+    enumerate_gcsod,
     gcsod_expectation_oracle,
     random_profiles,
 )
@@ -343,6 +345,15 @@ def test_gcsod_expected_rejects_large_n():
         gcsod_expected(TypeProfile((0.5,) * 17))
     exp = gcsod_expected(TypeProfile((0.5,) * 3), cap=3)
     assert len(exp.times) == 3
+
+
+def test_gcsod_realizations_match_scalar_enumeration_and_cap():
+    rng = np.random.default_rng(11)
+    for profile in [EXAMPLE_PROFILE, *random_profiles(rng, 10, n_low=1, n_high=6)]:
+        assert gcsod_realizations(profile) == [out for _, out in enumerate_gcsod(profile)]
+    with pytest.raises(ValueError, match="capped at n=3"):
+        gcsod_realizations(TypeProfile((0.5,) * 4), cap=3)
+    assert len(gcsod_realizations(TypeProfile((0.5,) * 3), cap=3)) == 8
 
 
 # ------------------------------------------------------------ shared invariants

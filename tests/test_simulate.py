@@ -1,5 +1,6 @@
 """Delay estimation: kernel agreement, determinism, anchors, and the table."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -356,12 +357,12 @@ def test_table_csv_and_json_round_trip():
     import json
 
     payload = json.loads(table_to_json(records))
-    assert [TableRow.from_dict(d) for d in payload] == records
+    assert [TableRow(**d) for d in payload] == records
 
 
 def test_simulation_report_round_trip():
     report = estimate(SimulationConfig("cs", UNIFORM, n=2, samples=1_000, seed=14))
-    assert SimulationReport.from_dict(report.to_dict()) == report
+    assert SimulationReport(**dataclasses.asdict(report)) == report
 
 
 def test_golden_table_regression():
