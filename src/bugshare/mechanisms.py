@@ -20,20 +20,26 @@ Four allocation rules are implemented:
   group's optimal deadline, which restores strategy-proofness.
 
 All rules are pure functions; ``gcsod_sample`` is pure given its seed.  They
-are the reference for the one array form of the same decisions below them:
-the row-wise optimal deadline and k*, the group rule's winner and extended
-deadline for many coin-flip rows at once, and ``grouping_table`` built on
-them.  The array form is agent-major: an (n, rows) array holds one profile
-per column, so each reduction over the agents is an elementwise pass over n
-contiguous rows instead of a short loop per profile.  The group rule sorts
-each profile once, with the right side's values negated, and reads both
-sides' descending orders off that one sort.  The Monte Carlo kernels of
-:mod:`bugshare.simulate` reduce these rows to delays; the test suite checks
-exact agreement with the scalar rules.
+are the reference for the array form of the same decisions below them.
+For many coin-flip rows at once there are the row-wise optimal deadline and
+k*, and the group rule's winner and extended deadline.  These are
+agent-major: an (n, rows) array holds one profile per column, so each
+reduction over the agents is an elementwise pass over n contiguous rows
+instead of a short loop per profile.  The group rule sorts each profile
+once, with the right side's values negated, and reads both sides'
+descending orders off that one sort.  The Monte Carlo kernels of
+:mod:`bugshare.simulate` reduce these rows to delays.
+
+For all 2^n groupings of one profile (``grouping_table``, ``gcsod_expected``
+and the exact-grouping estimate) the profile is sorted once, and each
+grouping's two sides are read off rank arrays that are built once per n and
+cached, so no grouping is sorted.  The test suite checks exact agreement
+with the scalar rules.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -176,11 +182,12 @@ def _share_outcome(values: Sequence[float], deadline: float) -> Outcome:
     k_star = _max_k(sorted_desc, deadline)
     if k_star == 0:
         return Outcome((deadline,) * n, (0.0,) * n, sold=False)
-    ranked = sorted(range(n), key=lambda i: (-values[i], i))
-    payers = set(ranked[:k_star])
+    # k* never splits a tie (the tied value past it would qualify k*+1), so the
+    # top k* agents are exactly those whose value reaches the k*-th largest
+    cutoff = sorted_desc[k_star - 1]
     share = 1.0 / k_star
-    times = tuple(0.0 if i in payers else deadline for i in range(n))
-    payments = tuple(share if i in payers else 0.0 for i in range(n))
+    times = tuple(0.0 if v >= cutoff else deadline for v in values)
+    payments = tuple(share if v >= cutoff else 0.0 for v in values)
     return Outcome(times, payments, sold=True)
 
 
@@ -266,23 +273,14 @@ def gcsod_sample(profile: TypeProfile, seed: int) -> Outcome:
     return gcsod_allocate(profile, Grouping(side))
 
 
-def _grouping_matrix(n: int) -> np.ndarray:
-    """Boolean (n, 2^n) matrix of every left/right split; True means left.
+def _prices(ks: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
+    """Prices 1/(k*deadline) less their qualify slack, k and deadline broadcast.
 
-    Column-major, so that each split's n flags are adjacent in memory for the
-    sort over the agents.
-    """
-    codes = np.arange(2**n, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1 == 1).T
-
-
-def _prices(n: int, deadlines: np.ndarray) -> np.ndarray:
-    """(n, rows) prices 1/(k*deadline) for k = 1..n, less their qualify slack.
-
-    A zero deadline divides by zero and leaves NaN prices that no value meets;
+    ``ks`` is the column of k = 1..n or an array of per-cell ranks.  A zero
+    deadline divides by zero and leaves NaN prices that no value meets;
     callers that allow one silence both warnings.
     """
-    prices = 1.0 / (np.arange(1, n + 1)[:, None] * deadlines)
+    prices = 1.0 / (ks * deadlines)
     # the slack is subtracted in place: one (n, rows) array stays alive
     prices -= QUALIFY_TOL * np.maximum(1.0, prices)
     return prices
@@ -305,7 +303,8 @@ def _kstar_rows(sorted_desc: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
     descending order; ``deadlines`` holds one deadline per column, or one for
     all of them.
     """
-    return _largest_k(sorted_desc >= _prices(sorted_desc.shape[0], deadlines))
+    ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
+    return _largest_k(sorted_desc >= _prices(ks, deadlines))
 
 
 def _deadline_rows(sorted_desc: np.ndarray) -> np.ndarray:
@@ -338,7 +337,7 @@ def _group_rows(values: np.ndarray, left: np.ndarray):
     two deadlines tie does k* decide the winner, so it is computed there
     alone.
     """
-    n = values.shape[0]
+    ks = np.arange(1, values.shape[0] + 1)[:, None]
     s = np.ascontiguousarray(np.sort(values * (2.0 * left - 1.0), axis=0))
     l_sorted = s[::-1]
     r_sorted = -s
@@ -347,39 +346,98 @@ def _group_rows(values: np.ndarray, left: np.ndarray):
     left_wins = dl < dr
     sold = dl != dr
     tie = np.flatnonzero(~sold)
-    prices = _prices(n, dl[tie])
+    prices = _prices(ks, dl[tie])
     left_funds = (l_sorted.take(tie, axis=1) >= prices).any(axis=0)
     left_wins[tie] = left_funds
     sold[tie] = left_funds | (r_sorted.take(tie, axis=1) >= prices).any(axis=0)
     own = np.where(left_wins, dl, dr)
     extended = np.where(left_wins, dr, dl)
-    prices = _prices(n, extended)
+    prices = _prices(ks, extended)
     meets = ((l_sorted >= prices) & left_wins) | ((r_sorted >= prices) & ~left_wins)
     return left_wins, sold, own, extended, _largest_k(meets)
+
+
+@functools.lru_cache(maxsize=ENUMERATION_CAP)
+def _sorted_groupings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2^n groupings of n agents over sorted positions, built once per n.
+
+    Returns read-only (n, 2^n) arrays ``(left, rank, left_rank)``.  Column c
+    puts position j on the left when bit j of c is set.  ``rank`` is each
+    position's 1-based rank within its own side, so with the positions in
+    descending order of value it is the k of that member's k-th price;
+    ``left_rank`` is the rank on the left side and 0 on the right.  The ranks
+    have the smallest unsigned type that holds n: at n = 16 the three arrays
+    take 3 MiB.
+    """
+    codes = np.arange(2**n, dtype=np.uint32)
+    left = (codes >> np.arange(n, dtype=np.uint32)[:, None]) & 1 == 1
+    dtype = np.min_scalar_type(n)
+    left_rank = np.cumsum(left, axis=0, dtype=dtype)
+    rank = np.where(left, left_rank, np.arange(1, n + 1, dtype=dtype)[:, None] - left_rank)
+    left_rank *= left
+    for a in (left, rank, left_rank):
+        a.flags.writeable = False
+    return left, rank, left_rank
+
+
+def _sorted_table(sorted_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Times and payments of the group rule for all 2^n groupings, in sorted space.
+
+    ``sorted_desc`` holds one profile's values in descending order; the
+    (n, 2^n) results have one row per sorted position and one column per
+    ``_sorted_groupings`` column.  Each side's k-th value is its member of
+    rank k, so no grouping is sorted.
+
+    The right side of column c is the left side of column 2^n - 1 - c, so
+    the right deadlines are the left ones reversed.  The winner's own
+    deadline is the smaller of the two and its extended deadline the larger,
+    exactly, since at a tie both are the same number; only the tied columns
+    need ``_group_rows``' tie rule.  k* is the largest rank of a winner that
+    meets its price, and the payers are the winners of rank at most k*: k*
+    never splits a tie of values, since the tied value past it would qualify
+    k* + 1.
+    """
+    left, rank, left_rank = _sorted_groupings(sorted_desc.shape[0])
+    v = sorted_desc[:, None]
+    dl = 1.0 / np.maximum((left_rank * v).max(axis=0), 1.0)
+    dr = dl[::-1]
+    left_wins = dl < dr
+    sold = dl != dr
+    tie = np.flatnonzero(~sold)
+    tie_left = left[:, tie]
+    meets = v >= _prices(rank[:, tie], dl[tie])
+    left_wins[tie] = (meets & tie_left).any(axis=0)
+    sold[tie] = meets.any(axis=0)
+    own = np.minimum(dl, dr)
+    extended = np.maximum(dl, dr)
+
+    member = left == left_wins
+    k_star = (rank * (member & (v >= _prices(rank, extended)))).max(axis=0)
+    payer = member & (rank <= k_star)
+    # an unsold column has k* = 0 and everyone waits until 1
+    times = np.where(member, np.where(sold, extended, 1.0), np.where(sold, own, 1.0))
+    times = np.where(payer, 0.0, times)
+    payments = np.where(payer, 1.0 / np.maximum(k_star, 1), 0.0)
+    return times, payments
 
 
 def grouping_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent times and payments of the group rule for all 2^n groupings.
 
-    ``_group_rows`` on the (n, 2^n) grouping matrix; the results are returned
-    as (2^n, n) views, one grouping per row.  The scalar rule is the reference
-    and the test suite checks exact agreement.
+    Returns (2^n, n) arrays, one grouping per row: row a puts agent i on the
+    left when bit i of a is set.  ``_sorted_table`` computes them over sorted
+    positions, and its rows and columns are mapped back to the agents.  The
+    scalar rule is the reference and the test suite checks exact agreement.
     """
-    values = np.asarray(values, dtype=float)[:, None]
-    left = _grouping_matrix(values.shape[0])
-    left_wins, sold, own, extended, k_star = _group_rows(values, left)
-    member = left == left_wins
-    # The payers are the winner's top k* members by (value, index).  k* never
-    # splits a tie (the tied value past it would qualify k*+1), so they are the
-    # members at the k*-th price; at k* = 0 none meets even the first price.
-    price = 1.0 / (np.maximum(k_star, 1) * extended)
-    slack = QUALIFY_TOL * np.maximum(1.0, price)
-    payer = member & (values >= price - slack)
-
-    times = np.where(payer, 0.0, np.where(member, extended, own))
-    times = np.where(sold, times, 1.0)
-    payments = np.where(payer, 1.0 / np.maximum(k_star, 1), 0.0)
-    return times.T, payments.T
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    order = np.argsort(-values, kind="stable")
+    times, payments = _sorted_table(values[order])
+    # grouping a puts sorted position j on the left when bit order[j] of a is set
+    codes = np.arange(2**n)[:, None]
+    column = ((((codes >> order) & 1) << np.arange(n)).sum(axis=1))[:, None]
+    position = np.argsort(order)
+    return times.T[column, position], payments.T[column, position]
 
 
 def _check_enumerable(n: int, cap: int = ENUMERATION_CAP) -> None:
@@ -407,10 +465,20 @@ def gcsod_expected(profile: TypeProfile, cap: int = ENUMERATION_CAP) -> Expected
     maximum of the per-agent expectations.
     """
     _check_enumerable(len(profile), cap)
-    times, payments = grouping_table(np.array(profile.values))
+    values = np.array(profile.values)
+    order = np.argsort(-values, kind="stable")
+    times, payments = _sorted_table(values[order])
+    # Every grouping is one column in either space, so only the rows map back.
+    # A sum over the 2^n columns divided by their count is what mean() computes,
+    # without its per-call overhead.
+    count = times.shape[1]
+    mean_times = np.empty(len(values))
+    mean_times[order] = times.sum(axis=1) / count
+    mean_payments = np.empty(len(values))
+    mean_payments[order] = payments.sum(axis=1) / count
     return ExpectedOutcome(
-        times=tuple(float(t) for t in times.mean(axis=0)),
-        payments=tuple(float(p) for p in payments.mean(axis=0)),
-        max_delay=float(times.max(axis=1).mean()),
-        sum_delay=float(times.sum(axis=1).mean()),
+        times=tuple(mean_times.tolist()),
+        payments=tuple(mean_payments.tolist()),
+        max_delay=float(times.max(axis=0).sum() / count),
+        sum_delay=float(times.sum(axis=0).sum() / count),
     )

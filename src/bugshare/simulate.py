@@ -36,7 +36,7 @@ from .mechanisms import (
     _deadline_rows,
     _group_rows,
     _kstar_rows,
-    grouping_table,
+    _sorted_table,
 )
 
 MECHANISMS = ("cs", "csd", "csod", "gcsod")
@@ -152,13 +152,16 @@ def batch_gcsod_delays(values: np.ndarray, left: np.ndarray) -> tuple[np.ndarray
 
 def _exact_grouping_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-profile exact expectations over all groupings of (max, sum) delay."""
+    # max and sum over the agents do not depend on their order, so the
+    # sorted-space table serves as it is
+    sorted_desc = np.sort(values, axis=1)[:, ::-1]
     rows = values.shape[0]
     mx = np.empty(rows)
     sm = np.empty(rows)
     for r in range(rows):
-        times, _ = grouping_table(values[r])
-        mx[r] = times.max(axis=1).mean()
-        sm[r] = times.sum(axis=1).mean()
+        times, _ = _sorted_table(sorted_desc[r])
+        mx[r] = times.max(axis=0).mean()
+        sm[r] = times.sum(axis=0).mean()
     return mx, sm
 
 

@@ -33,6 +33,8 @@ from bugshare.simulate import (
     table_to_json,
 )
 
+from helpers import gcsod_expectation_oracle
+
 GOLDEN = Path(__file__).parent / "golden" / "table_small.csv"
 UNIFORM = DistributionSpec.parse("U(0,1)")
 
@@ -167,6 +169,48 @@ def test_agent_major_kernels_match_scalar_rules_past_six_agents(case, t_c):
     ):
         assert np.all(mx == max(out.times))
         assert sm == pytest.approx(sum(out.times), abs=1e-12)
+
+
+# The grouping table is built over the agents in sorted order and mapped back,
+# so ties between agents, ties between the two sides' deadlines and the order
+# of the agents all pass through one argsort.  The examples are the tie
+# profiles of the kernel test above, each with one reordering.
+@given(
+    st.integers(7, 10).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.sampled_from(TIE_GRID), min_size=n, max_size=n).map(tuple),
+            st.permutations(range(n)),
+        )
+    )
+)
+@example(((0.8,) * 4 + (0.0,) * 3, (6, 5, 4, 3, 2, 1, 0)))
+@example(((0.8,) * 8, (1, 0, 3, 2, 5, 4, 7, 6)))
+@example(((0.5, 1.0) + (0.0,) * 5, (2, 3, 4, 5, 6, 1, 0)))
+@example(((0.1,) * 12, tuple(range(11, -1, -1))))
+@settings(max_examples=30, deadline=None)
+def test_grouping_enumeration_matches_scalar_rule_past_six_agents(case):
+    values, order = case
+    profile = TypeProfile(values)
+    n = len(values)
+    times, payments = grouping_table(np.array(values))
+    for code in range(2**n):
+        side = tuple("L" if (code >> i) & 1 else "R" for i in range(n))
+        out = gcsod_allocate(profile, Grouping(side))
+        assert tuple(times[code]) == out.times
+        assert tuple(payments[code]) == out.payments
+
+    exp = gcsod_expected(profile)
+    o_times, o_payments, o_max, o_sum = gcsod_expectation_oracle(profile)
+    np.testing.assert_allclose(exp.times, o_times, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(exp.payments, o_payments, rtol=0, atol=1e-12)
+    assert exp.max_delay == pytest.approx(o_max, abs=1e-12)
+    assert exp.sum_delay == pytest.approx(o_sum, abs=1e-12)
+
+    permuted = gcsod_expected(TypeProfile(tuple(values[i] for i in order)))
+    for got, want in ((permuted.times, exp.times), (permuted.payments, exp.payments)):
+        np.testing.assert_allclose(got, [want[i] for i in order], rtol=0, atol=1e-15)
+    assert permuted.max_delay == pytest.approx(exp.max_delay, abs=1e-15)
+    assert permuted.sum_delay == pytest.approx(exp.sum_delay, abs=1e-15)
 
 
 def test_kernels_treat_rows_independently():
