@@ -69,6 +69,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _mechanism_rule(name: str, t_c: float | None):
+    if t_c is not None and name != "csd":
+        raise _UsageError(f"--t-c only applies to --mechanism csd, not {name}")
     if name == "cs":
         return cs_allocate
     if name == "csd":
@@ -135,6 +137,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_allocate(args) -> int:
+    rule = _mechanism_rule(args.mechanism, args.t_c)  # also rejects a stray --t-c
+    if args.mechanism != "gcsod":
+        for flag, value in (("--grouping", args.grouping), ("--seed", args.seed)):
+            if value is not None:
+                raise _UsageError(f"{flag} only applies to --mechanism gcsod")
     profile = _parse_profile(args.profile)
     payload: dict = {"mechanism": args.mechanism, "profile": list(profile.values)}
     if args.mechanism == "gcsod":
@@ -147,7 +154,7 @@ def _cmd_allocate(args) -> int:
             outcome = gcsod_sample(profile, seed)
             payload["seed"] = seed
     else:
-        outcome = _mechanism_rule(args.mechanism, args.t_c)(profile)
+        outcome = rule(profile)
         if args.mechanism == "csd":
             payload["t_c"] = args.t_c
         elif args.mechanism == "csod":
@@ -163,8 +170,8 @@ def _cmd_allocate(args) -> int:
 def _cmd_audit(args) -> int:
     profiles = [_parse_profile(text) for text in args.profile]
     n = max(len(p) for p in profiles)
-    deadline = args.t_c if (args.mechanism == "csd" and args.t_c is not None) else 1.0
     rule = _mechanism_rule(args.mechanism, args.t_c)
+    deadline = 1.0 if args.t_c is None else args.t_c
     if args.property == "sp":
         grid = audit_mod.misreport_grid(n, deadline=deadline, points=args.points)
         report = audit_mod.check_sp(rule, profiles, grid, epsilon=args.epsilon)

@@ -103,13 +103,25 @@ def cdf(spec: DistributionSpec, x):
 
 
 def draw(spec: DistributionSpec, shape, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from an existing generator stream."""
-    u = rng.random(shape)
+    """Inverse-CDF draws from an existing generator stream.
+
+    Every step works in place on the one array of uniforms.  Each value is
+    the same IEEE result as ``lo + u * (hi - lo)`` or
+    ``clip(mu + sigma * ndtri(a + u * (b - a)), lo, hi)``, since ``+`` and
+    ``*`` are commutative.
+    """
+    x = rng.random(shape)
     if spec.kind == "uniform":
-        return spec.lo + u * (spec.hi - spec.lo)
+        x *= spec.hi - spec.lo
+        x += spec.lo
+        return x
     a, b = spec._phi_bounds()
-    x = spec.mu + spec.sigma * ndtri(a + u * (b - a))
-    return np.clip(x, spec.lo, spec.hi)
+    x *= b - a
+    x += a
+    ndtri(x, out=x)
+    x *= spec.sigma
+    x += spec.mu
+    return np.clip(x, spec.lo, spec.hi, out=x)
 
 
 def sample(spec: DistributionSpec, count: int, seed: int) -> np.ndarray:

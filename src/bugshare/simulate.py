@@ -4,7 +4,14 @@ Profiles are sampled in chunks of ``_CHUNK_ROWS`` from a seeded stream.  At
 n = 10 a chunk's (n, rows) float temporaries are 1.3 MB each, so a kernel's
 working set stays in a 2-4 MB per-core cache.  The value and coin streams
 are read in the same order whatever the chunk size, so the draws do not
-depend on it.
+depend on it.  ``draw`` maps the chunk's uniforms to values in place, with
+no temporary per arithmetic step.
+
+The kernels sort each chunk once, agent-major, with
+``mechanisms._sort_columns``: a compare-exchange network up to 16 agents,
+whose comparators are elementwise passes over whole agent rows, and
+``np.sort`` above that, where the network's n log^2 n comparators cost more
+than one small sort per profile.
 
 The array form of the allocation rules (row-wise deadline, k* and
 group-rule decision) lives in :mod:`bugshare.mechanisms` next to the scalar
@@ -36,6 +43,7 @@ from .mechanisms import (
     _deadline_rows,
     _group_rows,
     _kstar_rows,
+    _sort_columns,
     _sorted_table,
 )
 
@@ -70,6 +78,8 @@ class SimulationConfig:
         if self.mechanism == "csd":
             if self.t_c is None or not 0.0 <= self.t_c <= 1.0:
                 raise ValueError("csd needs a deadline t_c in [0, 1]")
+        elif self.t_c is not None:
+            raise ValueError(f"t_c only applies to csd, not {self.mechanism}")
         if self.mode == "exact_grouping":
             if self.mechanism != "gcsod":
                 raise ValueError("exact_grouping mode only applies to gcsod")
@@ -113,8 +123,11 @@ def _share_delays(
 
 
 def _sorted_desc(values: np.ndarray) -> np.ndarray:
-    """Agent-major (n, rows) copy of (rows, n) ``values``, each column sorted descending."""
-    return np.ascontiguousarray(np.sort(values.T, axis=0)[::-1])
+    """Agent-major (n, rows) sorted copy of (rows, n) ``values``, columns descending.
+
+    The copy is sorted ascending and returned as a reversed view.
+    """
+    return _sort_columns(np.ascontiguousarray(values.T))[::-1]
 
 
 def batch_csd_delays(values: np.ndarray, t_c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -138,8 +151,11 @@ def batch_csod_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def batch_gcsod_delays(values: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per row of the group rule under given coin flips."""
     n = values.shape[1]
-    left_wins, sold, own, extended, k_star = _group_rows(values.T, left.T)
-    n_left = left.sum(axis=1)
+    # plain transpose copies: an arithmetic op forced to C order on the
+    # transposed views costs over ten times as much
+    left = np.ascontiguousarray(left.T)
+    left_wins, sold, own, extended, k_star = _group_rows(np.ascontiguousarray(values.T), left)
+    n_left = left.sum(axis=0)
     n_win = np.where(left_wins, n_left, n - n_left)
     n_lose = n - n_win
     mx = np.maximum(

@@ -48,6 +48,12 @@ DERIVED_SIM_EXPECTATIONS = {("N(0.5,0.4)", 1): 1.00}
 
 EXAMPLE_PROFILE = TypeProfile((0.9, 0.8, 0.26, 0.26))
 
+# Values whose 1/(k*t) prices and deadlines coincide, so that ties between
+# agents, ties between the two sides' deadlines and values landing exactly on
+# a price are common.  0.73 lands one ulp below its own price 1/(2t) at the
+# deadline t = 1/(2 * 0.73), so only QUALIFY_TOL lets a pair of them pay.
+TIE_GRID = (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.73, 1.0, 1.2)
+
 
 def brute_force_sharing_set(values, deadline=1.0, tol=1e-12):
     """K(deadline) straight from its definition, by scanning every k."""

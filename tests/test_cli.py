@@ -68,6 +68,24 @@ def test_allocate_gcsod_seed_recorded_and_deterministic(capsys):
     assert json.loads(out1)["seed"] == 3
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("simulate --mechanism cs --dist U(0,1) --n 2 --t-c 0.5", "t_c"),
+        ("allocate --mechanism cs --profile 0.9,0.8 --t-c 0.5", "--t-c"),
+        ("allocate --mechanism csod --profile 0.9,0.8 --grouping LR", "--grouping"),
+        ("allocate --mechanism cs --profile 0.9,0.8 --seed 3", "--seed"),
+        ("audit --property sp --mechanism gcsod --profile 0.9,0.8 --t-c 0.5", "--t-c"),
+    ],
+    ids=["simulate-t-c", "allocate-t-c", "allocate-grouping", "allocate-seed", "audit-t-c"],
+)
+def test_options_that_do_not_apply_exit_one(capsys, command, flag):
+    code, out, err = _run_capture(capsys, command.split())
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
 def test_allocate_rejects_bad_profile(capsys):
     code, _, err = _run_capture(
         capsys, ["allocate", "--mechanism", "cs", "--profile", "0.9,oops"]

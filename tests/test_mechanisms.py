@@ -16,11 +16,13 @@ from bugshare.mechanisms import (
     gcsod_realizations,
     gcsod_sample,
     optimal_deadline,
+    _sort_columns,
 )
 from bugshare.simulate import batch_csod_delays
 
 from helpers import (
     EXAMPLE_PROFILE,
+    TIE_GRID,
     brute_force_sharing_set,
     enumerate_gcsod,
     gcsod_expectation_oracle,
@@ -44,6 +46,24 @@ def test_profile_rejects_empty_and_negative():
         TypeProfile((float("nan"),))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+def test_profile_replace_rejects_bad_value(bad):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        TypeProfile((0.5, 0.6)).replace(1, bad)
+
+
+def test_profile_replace_equals_a_fresh_profile():
+    profile = TypeProfile((0.5, 0.6, 0.7))
+    for agent, value in ((1, 1), (0, np.float64(0.25)), (-1, 0.0)):
+        replaced = profile.replace(agent, value)
+        values = list(profile.values)
+        values[agent] = value
+        assert replaced == TypeProfile(tuple(values))
+        assert hash(replaced) == hash(TypeProfile(tuple(values)))
+        assert all(type(v) is float for v in replaced.values)
+    assert profile.values == (0.5, 0.6, 0.7)
+
+
 def test_outcome_invariants_enforced():
     with pytest.raises(ValueError):
         Outcome((0.0, 1.2), (0.5, 0.5), sold=True)
@@ -57,6 +77,38 @@ def test_grouping_labels_validated():
     with pytest.raises(ValueError):
         Grouping(("L", "X"))
     assert Grouping.from_string("lrl").side == ("L", "R", "L")
+
+
+# ---------------------------------------------------------------- column sort
+
+
+def test_sort_columns_sorts_every_zero_one_column():
+    # By the 0-1 principle a comparator network sorts every input if it sorts
+    # every 0/1 input, so this proves the pruned network for each n
+    for n in range(1, 17):
+        columns = ((np.arange(2**n) >> np.arange(n)[:, None]) & 1).astype(float)
+        expected = np.sort(columns, axis=0)
+        assert np.array_equal(_sort_columns(columns), expected), n
+
+
+# The group rule sorts values with its right side negated, so columns hold
+# ties, mixed signs and both 0.0 and -0.0; n runs across the switch to np.sort.
+@given(
+    st.integers(1, 24).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.sampled_from(TIE_GRID + tuple(-v for v in TIE_GRID)), min_size=n, max_size=n
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_sort_columns_orders_ties_and_signed_zeros(columns):
+    block = np.array(columns).T.copy()
+    expected = np.sort(block, axis=0)
+    assert np.array_equal(_sort_columns(block), expected)
 
 
 # ---------------------------------------------------------------- cs_allocate

@@ -33,7 +33,7 @@ from bugshare.simulate import (
     table_to_json,
 )
 
-from helpers import gcsod_expectation_oracle
+from helpers import TIE_GRID, gcsod_expectation_oracle
 
 GOLDEN = Path(__file__).parent / "golden" / "table_small.csv"
 UNIFORM = DistributionSpec.parse("U(0,1)")
@@ -90,13 +90,6 @@ def test_batch_gcsod_matches_scalar(n):
         out = gcsod_allocate(TypeProfile(tuple(values[row])), Grouping(side))
         assert mx[row] == max(out.times)
         assert sm[row] == pytest.approx(sum(out.times), abs=1e-12)
-
-
-# Values whose 1/(k*t) prices and deadlines coincide, so that ties between
-# agents, ties between the two sides' deadlines and values landing exactly on
-# a price are common.  0.73 lands one ulp below its own price 1/(2t) at the
-# deadline t = 1/(2 * 0.73), so only QUALIFY_TOL lets a pair of them pay.
-TIE_GRID = (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.73, 1.0, 1.2)
 
 
 @given(
@@ -234,6 +227,31 @@ def test_kernels_treat_rows_independently():
             assert np.array_equal(whole[k], np.concatenate([p[k] for p in pieces]))
 
 
+# Above 16 agents the kernels' column sort is np.sort instead of the
+# compare-exchange network, so both sorts and the switch between them run here.
+@pytest.mark.parametrize("n", [16, 17, 40])
+def test_kernels_match_scalar_rules_past_the_network_cutoff(n):
+    rng = np.random.default_rng(300 + n)
+    values = np.concatenate([_random_batch(rng, 40, n), rng.choice(TIE_GRID, (40, n))])
+    left = rng.random(values.shape) < 0.5
+    t_c = 0.35
+    g_mx, g_sm = batch_gcsod_delays(values, left)
+    cs_mx, cs_sm = batch_cs_delays(values)
+    csd_mx, csd_sm = batch_csd_delays(values, t_c)
+    csod_mx, csod_sm = batch_csod_delays(values)
+    for r in range(values.shape[0]):
+        profile = TypeProfile(tuple(values[r]))
+        side = tuple("L" if flag else "R" for flag in left[r])
+        for mx, sm, out in (
+            (g_mx, g_sm, gcsod_allocate(profile, Grouping(side))),
+            (cs_mx, cs_sm, cs_allocate(profile)),
+            (csd_mx, csd_sm, csd_allocate(profile, t_c)),
+            (csod_mx, csod_sm, csod_allocate(profile)),
+        ):
+            assert mx[r] == max(out.times)
+            assert sm[r] == pytest.approx(sum(out.times), abs=1e-12)
+
+
 # ---------------------------------------------------------------- estimation
 
 
@@ -350,6 +368,12 @@ def test_config_validation():
         SimulationConfig("cs", UNIFORM, n=2, samples=10, seed=0, mode="exact_grouping")
     with pytest.raises(ValueError):
         SimulationConfig("gcsod", UNIFORM, n=20, samples=10, seed=0, mode="exact_grouping")
+
+
+@pytest.mark.parametrize("mechanism", ["cs", "csod", "gcsod"])
+def test_config_rejects_deadline_for_rules_without_one(mechanism):
+    with pytest.raises(ValueError, match="t_c"):
+        SimulationConfig(mechanism, UNIFORM, n=2, samples=10, seed=0, t_c=0.5)
 
 
 def test_csd_estimation_uses_deadline():
