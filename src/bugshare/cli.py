@@ -137,11 +137,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_allocate(args) -> int:
-    rule = _mechanism_rule(args.mechanism, args.t_c)  # also rejects a stray --t-c
-    if args.mechanism != "gcsod":
-        for flag, value in (("--grouping", args.grouping), ("--seed", args.seed)):
-            if value is not None:
-                raise _UsageError(f"{flag} only applies to --mechanism gcsod")
+    for flag, value, owner in (
+        ("--t-c", args.t_c, "csd"),
+        ("--grouping", args.grouping, "gcsod"),
+        ("--seed", args.seed, "gcsod"),
+    ):
+        if value is not None and args.mechanism != owner:
+            raise _UsageError(f"{flag} only applies to --mechanism {owner}")
     profile = _parse_profile(args.profile)
     payload: dict = {"mechanism": args.mechanism, "profile": list(profile.values)}
     if args.mechanism == "gcsod":
@@ -154,7 +156,7 @@ def _cmd_allocate(args) -> int:
             outcome = gcsod_sample(profile, seed)
             payload["seed"] = seed
     else:
-        outcome = rule(profile)
+        outcome = _mechanism_rule(args.mechanism, args.t_c)(profile)
         if args.mechanism == "csd":
             payload["t_c"] = args.t_c
         elif args.mechanism == "csod":

@@ -34,9 +34,7 @@ The column sort (``_sort_columns``) is a compare-exchange network, built
 once per n: each comparator is an elementwise min and max of two agent
 rows, a few passes over contiguous memory, where ``np.sort`` along the
 agent axis makes one tiny sort per column.  At n = 10 that takes 35 ns per
-profile against 84.  The network has O(n log^2 n) comparators and its lead
-shrinks with n, so above ``_NETWORK_MAX_AGENTS`` (16) agents ``np.sort`` is
-used instead.
+profile against 84.
 
 For all 2^n groupings of one profile (``grouping_table``, ``gcsod_expected``
 and the exact-grouping estimate) the profile is sorted once, and each
@@ -339,14 +337,7 @@ def _deadline_rows(sorted_desc: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum((ks * sorted_desc).max(axis=0), 1.0)
 
 
-# Above this many agents ``_sort_columns`` calls np.sort.  The network's
-# comparator count grows as n log^2 n: on 16,384-profile blocks it sorts in
-# 75 ns per profile against np.sort's 134 at n = 16, draws level near n = 24
-# (164 against 176) and loses at n = 32 (264 against 234).
-_NETWORK_MAX_AGENTS = 16
-
-
-@functools.lru_cache(maxsize=_NETWORK_MAX_AGENTS)
+@functools.lru_cache(maxsize=None)
 def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
     """Comparators (i, j), i < j, of Batcher's odd-even merge sort on n wires.
 
@@ -372,19 +363,15 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
 def _sort_columns(a: np.ndarray) -> np.ndarray:
     """Sort each column of the agent-major (n, rows) block ``a`` ascending, in place.
 
-    Up to ``_NETWORK_MAX_AGENTS`` agents this walks a compare-exchange
-    network: each comparator (i, j) is an elementwise min and max of rows i
-    and j, a few passes over contiguous rows of a C-contiguous block, where
-    ``np.sort`` along axis 0 makes one tiny sort per column.  Equal values
-    come back in any order, and a column's 0.0 and -0.0 may trade signs; no
-    caller tells them apart.  Returns ``a``.
+    This walks a compare-exchange network: each comparator (i, j) is an
+    elementwise min and max of rows i and j, a few passes over contiguous
+    rows of a C-contiguous block, where ``np.sort`` along axis 0 makes one
+    tiny sort per column.  Equal values come back in any order, and a
+    column's 0.0 and -0.0 may trade signs; no caller tells them apart.
+    Returns ``a``.
     """
-    n = a.shape[0]
-    if n > _NETWORK_MAX_AGENTS:
-        a.sort(axis=0)
-        return a
     low = np.empty_like(a[0])
-    for i, j in _sorting_network(n):
+    for i, j in _sorting_network(a.shape[0]):
         np.minimum(a[i], a[j], out=low)
         np.maximum(a[i], a[j], out=a[j])
         a[i] = low
@@ -397,10 +384,9 @@ def _group_rows(values: np.ndarray, left: np.ndarray):
     Both arrays are agent-major, C-contiguous (n, rows) blocks with one
     profile per column, so that the sort and every step after it work on
     contiguous rows.  Returns ``(left_wins, sold, own, extended, k_star)``:
-    which side wins (exact ties
-    favour the left), whether the bug sells, the winner's own deadline, the
-    loser's deadline under which the winner shares, and the winner's
-    sharing-set size.
+    which side wins (exact ties favour the left), whether the bug sells, the
+    winner's own deadline, the loser's deadline under which the winner
+    shares, and the winner's sharing-set size.
 
     One sort serves both sides.  Right members are negated (multiplied by -1,
     which is exact), so each ascending column holds the right side first,
@@ -413,7 +399,7 @@ def _group_rows(values: np.ndarray, left: np.ndarray):
     alone.
     """
     ks = np.arange(1, values.shape[0] + 1)[:, None]
-    s = _sort_columns(np.ascontiguousarray(values * (2.0 * left - 1.0)))
+    s = _sort_columns(values * (2.0 * left - 1.0))
     l_sorted = s[::-1]
     r_sorted = -s
     dl = _deadline_rows(l_sorted)

@@ -8,10 +8,8 @@ depend on it.  ``draw`` maps the chunk's uniforms to values in place, with
 no temporary per arithmetic step.
 
 The kernels sort each chunk once, agent-major, with
-``mechanisms._sort_columns``: a compare-exchange network up to 16 agents,
-whose comparators are elementwise passes over whole agent rows, and
-``np.sort`` above that, where the network's n log^2 n comparators cost more
-than one small sort per profile.
+``mechanisms._sort_columns``: a compare-exchange network whose comparators
+are elementwise passes over whole agent rows.
 
 The array form of the allocation rules (row-wise deadline, k* and
 group-rule decision) lives in :mod:`bugshare.mechanisms` next to the scalar

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bugshare import mechanisms
 from bugshare.mechanisms import (
     Grouping,
     Outcome,
@@ -16,6 +17,7 @@ from bugshare.mechanisms import (
     gcsod_realizations,
     gcsod_sample,
     optimal_deadline,
+    _group_rows,
     _sort_columns,
 )
 from bugshare.simulate import batch_csod_delays
@@ -91,24 +93,20 @@ def test_sort_columns_sorts_every_zero_one_column():
         assert np.array_equal(_sort_columns(columns), expected), n
 
 
-# The group rule sorts values with its right side negated, so columns hold
-# ties, mixed signs and both 0.0 and -0.0; n runs across the switch to np.sort.
-@given(
-    st.integers(1, 24).flatmap(
-        lambda n: st.lists(
-            st.lists(
-                st.sampled_from(TIE_GRID + tuple(-v for v in TIE_GRID)), min_size=n, max_size=n
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
-)
-@settings(max_examples=150, deadline=None)
-def test_sort_columns_orders_ties_and_signed_zeros(columns):
-    block = np.array(columns).T.copy()
-    expected = np.sort(block, axis=0)
-    assert np.array_equal(_sort_columns(block), expected)
+# The group rule sorts values with its right side negated, so its columns
+# hold ties and both 0.0 and -0.0, which the network may return in another
+# order or with traded signs than np.sort.  Its outputs must not show it.
+def test_group_rows_match_np_sort_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for n in range(1, 21):
+        values = rng.choice(TIE_GRID, (n, 400))
+        left = rng.random((n, 400)) < 0.5
+        network = _group_rows(values, left)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mechanisms, "_sort_columns", lambda a: np.sort(a, axis=0))
+            reference = _group_rows(values, left)
+        for got, want in zip(network, reference):
+            assert got.tobytes() == want.tobytes(), n
 
 
 # ---------------------------------------------------------------- cs_allocate
