@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Protocol, Sequence
 import numpy as np
 
 from .mechanisms import (
-    ENUMERATION_CAP,
     QUALIFY_TOL,
     Outcome,
     TypeProfile,
@@ -82,17 +81,6 @@ class AuditReport:
             "violations": [asdict(v) for v in self.violations],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AuditReport":
-        return cls(
-            property=data["property"],
-            violations=[
-                Violation(tuple(v["profile"]), v["agent"], v["detail"], v["amount"])
-                for v in data["violations"]
-            ],
-            probes=data["probes"],
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
@@ -126,9 +114,9 @@ def utility(value: float, times: Sequence[float], payments: Sequence[float], age
     return (1.0 - times[agent]) * value - payments[agent]
 
 
-def misreport_grid(n: int, deadline: float = 1.0, points: int = 50, upper: float = 1.0):
-    """Uniform misreports on [0, upper] plus every 1/(k*deadline) entry threshold."""
-    grid = set(np.linspace(0.0, upper, points).tolist())
+def misreport_grid(n: int, deadline: float = 1.0, points: int = 50):
+    """Uniform misreports on [0, 1] plus every 1/(k*deadline) entry threshold."""
+    grid = set(np.linspace(0.0, 1.0, points).tolist())
     if deadline > 0.0:
         grid.update(1.0 / (k * deadline) for k in range(1, n + 1))
     return tuple(sorted(grid))
@@ -280,9 +268,9 @@ def verify_alpha_bound(k_max: int) -> bool:
     return all(alpha(k) < MAX_DELAY_BOUND for k in range(1, k_max + 1))
 
 
-def _competitive_report(profile: TypeProfile, cap: int) -> tuple[CompetitiveReport, int]:
+def _competitive_report(profile: TypeProfile) -> tuple[CompetitiveReport, int]:
     baseline = csod_allocate(profile)
-    expected = gcsod_expected(profile, cap=cap)
+    expected = gcsod_expected(profile)
     k_star = sum(1 for p in baseline.payments if p > 0.0)
     denom_max = max_delay(baseline)
     denom_sum = sum_delay(baseline)
@@ -293,14 +281,14 @@ def _competitive_report(profile: TypeProfile, cap: int) -> tuple[CompetitiveRepo
     return report, k_star
 
 
-def check_competitive_max(profile: TypeProfile, cap: int = ENUMERATION_CAP) -> CompetitiveReport:
+def check_competitive_max(profile: TypeProfile) -> CompetitiveReport:
     """Expected max delay of the group rule within 4x of the optimal-deadline rule.
 
     Requires every value at most 1 and at least one agent outside the cost
     sharing set; otherwise the report is returned with
     ``assumptions_hold=False`` and nothing is asserted.
     """
-    report, k_star = _competitive_report(profile, cap)
+    report, k_star = _competitive_report(profile)
     holds = report.assumptions_hold and k_star < len(profile)
     report = CompetitiveReport(report.profile, report.ratio_max, report.ratio_sum, holds)
     if holds and report.ratio_max > MAX_DELAY_BOUND + DEFAULT_EPSILON:
@@ -310,13 +298,13 @@ def check_competitive_max(profile: TypeProfile, cap: int = ENUMERATION_CAP) -> C
     return report
 
 
-def check_competitive_sum(profile: TypeProfile, cap: int = ENUMERATION_CAP) -> CompetitiveReport:
+def check_competitive_sum(profile: TypeProfile) -> CompetitiveReport:
     """Expected sum delay of the group rule within 8x of the optimal-deadline rule.
 
     Requires every value at most 1 and at least half the agents outside the
     cost sharing set.
     """
-    report, k_star = _competitive_report(profile, cap)
+    report, k_star = _competitive_report(profile)
     holds = report.assumptions_hold and 2 * k_star <= len(profile)
     report = CompetitiveReport(report.profile, report.ratio_max, report.ratio_sum, holds)
     if holds and report.ratio_sum > SUM_DELAY_BOUND + DEFAULT_EPSILON:

@@ -36,17 +36,18 @@ rows, a few passes over contiguous memory, where ``np.sort`` along the
 agent axis makes one tiny sort per column.  At n = 10 that takes 35 ns per
 profile against 84.
 
-For all 2^n groupings of one profile (``grouping_table``, ``gcsod_expected``
-and the exact-grouping estimate) the profile is sorted once, and each
-grouping's two sides are read off rank arrays that are built once per n and
-cached, so no grouping is sorted.  The test suite checks exact agreement
+For all 2^n groupings of one profile (``grouping_table``, the
+``gcsod_realizations`` read off its rows, ``gcsod_expected`` and the
+exact-grouping estimate) the profile is sorted once, and each grouping's two
+sides are read off rank arrays that are built once per n and cached, so no
+grouping is sorted.  Building those arrays is the one place that refuses
+more than ``ENUMERATION_CAP`` agents.  The test suite checks exact agreement
 with the scalar rules.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -62,7 +63,7 @@ QUALIFY_TOL = 1e-12
 # Payments must sum to 1 within this tolerance whenever the bug is sold.
 BUDGET_TOL = 1e-9
 
-# Default limit for exact enumeration of the 2^n groupings.
+# Most agents whose 2^n groupings are enumerated exactly (``_sorted_groupings``).
 ENUMERATION_CAP = 16
 
 
@@ -422,6 +423,10 @@ def _group_rows(values: np.ndarray, left: np.ndarray):
 def _sorted_groupings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 2^n groupings of n agents over sorted positions, built once per n.
 
+    Every exact enumeration of the groupings starts here, so this is where
+    n above ``ENUMERATION_CAP`` raises ``ValueError``; ``lru_cache`` keeps no
+    exception, so no oversized entry is left behind.
+
     Returns read-only (n, 2^n) arrays ``(left, rank, left_rank)``.  Column c
     puts position j on the left when bit j of c is set.  ``rank`` is each
     position's 1-based rank within its own side, so with the positions in
@@ -430,6 +435,11 @@ def _sorted_groupings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     have the smallest unsigned type that holds n: at n = 16 the three arrays
     take 3 MiB.
     """
+    if n > ENUMERATION_CAP:
+        raise ValueError(
+            f"exact grouping enumeration capped at n={ENUMERATION_CAP}; "
+            f"got n={n} (use Monte Carlo sampling instead)"
+        )
     codes = np.arange(2**n, dtype=np.uint32)
     left = (codes >> np.arange(n, dtype=np.uint32)[:, None]) & 1 == 1
     dtype = np.min_scalar_type(n)
@@ -501,31 +511,22 @@ def grouping_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return times.T[column, position], payments.T[column, position]
 
 
-def _check_enumerable(n: int, cap: int = ENUMERATION_CAP) -> None:
-    """Raise ``ValueError`` when the 2^n groupings of n agents exceed the cap."""
-    if n > cap:
-        raise ValueError(
-            f"exact grouping enumeration capped at n={cap}; "
-            f"got n={n} (use Monte Carlo sampling instead)"
-        )
+def gcsod_realizations(profile: TypeProfile) -> list[Outcome]:
+    """The group rule's outcome under each of the 2^n equiprobable groupings.
+
+    Outcome a is ``grouping_table``'s row a: agent i is on the left when bit
+    i of a is set.  The bug sells exactly when some agent pays.
+    """
+    times, payments = grouping_table(np.array(profile.values))
+    return [Outcome(t, p, sold=any(p)) for t, p in zip(times.tolist(), payments.tolist())]
 
 
-def gcsod_realizations(profile: TypeProfile, cap: int = ENUMERATION_CAP) -> list[Outcome]:
-    """The group rule's outcome under each of the 2^n equiprobable groupings."""
-    _check_enumerable(len(profile), cap)
-    return [
-        gcsod_allocate(profile, Grouping(bits))
-        for bits in itertools.product("LR", repeat=len(profile))
-    ]
-
-
-def gcsod_expected(profile: TypeProfile, cap: int = ENUMERATION_CAP) -> ExpectedOutcome:
+def gcsod_expected(profile: TypeProfile) -> ExpectedOutcome:
     """Exact expectation of the group rule over all 2^n equiprobable groupings.
 
     The max-delay figure is the expectation of the realized maximum, not the
     maximum of the per-agent expectations.
     """
-    _check_enumerable(len(profile), cap)
     values = np.array(profile.values)
     order = np.argsort(-values, kind="stable")
     times, payments = _sorted_table(values[order])

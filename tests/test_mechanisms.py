@@ -390,20 +390,45 @@ def test_gcsod_expected_agrees_with_allocate_per_grouping():
             assert tuple(payments[code]) == out.payments
 
 
+CAP_MESSAGE = (
+    r"^exact grouping enumeration capped at n=16; got n=17 \(use Monte Carlo sampling instead\)$"
+)
+
+
 def test_gcsod_expected_rejects_large_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=CAP_MESSAGE):
         gcsod_expected(TypeProfile((0.5,) * 17))
-    exp = gcsod_expected(TypeProfile((0.5,) * 3), cap=3)
-    assert len(exp.times) == 3
+    exp = gcsod_expected(TypeProfile((0.5,) * 16))
+    assert len(exp.times) == 16
 
 
 def test_gcsod_realizations_match_scalar_enumeration_and_cap():
     rng = np.random.default_rng(11)
     for profile in [EXAMPLE_PROFILE, *random_profiles(rng, 10, n_low=1, n_high=6)]:
-        assert gcsod_realizations(profile) == [out for _, out in enumerate_gcsod(profile)]
-    with pytest.raises(ValueError, match="capped at n=3"):
-        gcsod_realizations(TypeProfile((0.5,) * 4), cap=3)
-    assert len(gcsod_realizations(TypeProfile((0.5,) * 3), cap=3)) == 8
+        realizations = gcsod_realizations(profile)
+        assert len(realizations) == 2 ** len(profile)
+        # realization a puts agent i on the left when bit i of a is set
+        for grouping, out in enumerate_gcsod(profile):
+            code = sum(1 << i for i, s in enumerate(grouping.side) if s == "L")
+            assert realizations[code] == out
+    with pytest.raises(ValueError, match=CAP_MESSAGE):
+        gcsod_realizations(TypeProfile((0.5,) * 17))
+    assert len(gcsod_realizations(TypeProfile((0.5,) * 3))) == 8
+
+
+def test_every_grouping_enumeration_refuses_past_the_cap():
+    # the cap is checked where the (n, 2^n) grouping arrays are built, so the
+    # table and the exact-grouping estimate refuse 17 agents too, and the
+    # failed build leaves nothing in the per-n cache
+    from bugshare.mechanisms import _sorted_groupings, grouping_table
+    from bugshare.simulate import _exact_grouping_delays
+
+    _sorted_groupings.cache_clear()
+    with pytest.raises(ValueError, match=CAP_MESSAGE):
+        grouping_table(np.full(17, 0.5))
+    with pytest.raises(ValueError, match=CAP_MESSAGE):
+        _exact_grouping_delays(np.full((1, 17), 0.5))
+    assert _sorted_groupings.cache_info().currsize == 0
 
 
 # ------------------------------------------------------------ shared invariants
