@@ -268,7 +268,13 @@ def verify_alpha_bound(k_max: int) -> bool:
     return all(alpha(k) < MAX_DELAY_BOUND for k in range(1, k_max + 1))
 
 
-def _competitive_report(profile: TypeProfile) -> tuple[CompetitiveReport, int]:
+def _check_competitive(profile: TypeProfile, objective: str) -> CompetitiveReport:
+    """Both delay ratios of ``profile``; raises when ``objective``'s bound fails.
+
+    ``objective`` is "max" or "sum".  The bound is asserted only when every
+    value is at most 1 and enough agents sit out the cost sharing set: at
+    least one for "max", at least half for "sum".
+    """
     baseline = csod_allocate(profile)
     expected = gcsod_expected(profile)
     k_star = sum(1 for p in baseline.payments if p > 0.0)
@@ -276,9 +282,16 @@ def _competitive_report(profile: TypeProfile) -> tuple[CompetitiveReport, int]:
     denom_sum = sum_delay(baseline)
     ratio_max = expected.max_delay / denom_max if denom_max > 0.0 else math.inf
     ratio_sum = expected.sum_delay / denom_sum if denom_sum > 0.0 else math.inf
-    values_ok = all(v <= 1.0 + QUALIFY_TOL for v in profile.values)
-    report = CompetitiveReport(profile.values, ratio_max, ratio_sum, values_ok)
-    return report, k_star
+    if objective == "max":
+        ratio, bound, sits_out = ratio_max, MAX_DELAY_BOUND, k_star < len(profile)
+    else:
+        ratio, bound, sits_out = ratio_sum, SUM_DELAY_BOUND, 2 * k_star <= len(profile)
+    holds = sits_out and all(v <= 1.0 + QUALIFY_TOL for v in profile.values)
+    if holds and ratio > bound + DEFAULT_EPSILON:
+        raise BoundViolation(
+            f"{objective}-delay ratio {ratio} exceeds {bound} on {profile.values}"
+        )
+    return CompetitiveReport(profile.values, ratio_max, ratio_sum, holds)
 
 
 def check_competitive_max(profile: TypeProfile) -> CompetitiveReport:
@@ -288,14 +301,7 @@ def check_competitive_max(profile: TypeProfile) -> CompetitiveReport:
     sharing set; otherwise the report is returned with
     ``assumptions_hold=False`` and nothing is asserted.
     """
-    report, k_star = _competitive_report(profile)
-    holds = report.assumptions_hold and k_star < len(profile)
-    report = CompetitiveReport(report.profile, report.ratio_max, report.ratio_sum, holds)
-    if holds and report.ratio_max > MAX_DELAY_BOUND + DEFAULT_EPSILON:
-        raise BoundViolation(
-            f"max-delay ratio {report.ratio_max} exceeds {MAX_DELAY_BOUND} on {profile.values}"
-        )
-    return report
+    return _check_competitive(profile, "max")
 
 
 def check_competitive_sum(profile: TypeProfile) -> CompetitiveReport:
@@ -304,11 +310,4 @@ def check_competitive_sum(profile: TypeProfile) -> CompetitiveReport:
     Requires every value at most 1 and at least half the agents outside the
     cost sharing set.
     """
-    report, k_star = _competitive_report(profile)
-    holds = report.assumptions_hold and 2 * k_star <= len(profile)
-    report = CompetitiveReport(report.profile, report.ratio_max, report.ratio_sum, holds)
-    if holds and report.ratio_sum > SUM_DELAY_BOUND + DEFAULT_EPSILON:
-        raise BoundViolation(
-            f"sum-delay ratio {report.ratio_sum} exceeds {SUM_DELAY_BOUND} on {profile.values}"
-        )
-    return report
+    return _check_competitive(profile, "sum")

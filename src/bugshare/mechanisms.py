@@ -19,16 +19,26 @@ Four allocation rules are implemented:
   two groups and each group runs the deadline mechanism using the *other*
   group's optimal deadline, which restores strategy-proofness.
 
-All rules are pure functions; ``gcsod_sample`` is pure given its seed.  They
-are the reference for the array form of the same decisions below them.
-For many coin-flip rows at once there are the row-wise optimal deadline and
-k*, and the group rule's winner and extended deadline.  These are
-agent-major: an (n, rows) array holds one profile per column, so each
-reduction over the agents is an elementwise pass over n contiguous rows
-instead of a short loop per profile.  The group rule sorts each profile
-once, with the right side's values negated, and reads both sides'
-descending orders off that one sort.  The Monte Carlo kernels of
-:mod:`bugshare.simulate` reduce these rows to delays.
+All rules are pure functions; ``gcsod_sample`` is pure given its seed.
+cs, csd and csod are scalar code, the fast path for one profile; the Monte
+Carlo kernels of :mod:`bugshare.simulate` use their row-wise array form
+(optimal deadline and k*).  The group rule has two array forms, each the
+fast one for its callers:
+
+* ``_group_rows`` decides it under given coin flips, one grouping per
+  column: a sampled profile needs one grouping, not 2^n.  The Monte Carlo
+  kernel reduces it to delays, and ``_group_outcomes`` reads each agent's
+  time and payment off it for ``gcsod_allocate``, ``gcsod_sample`` and
+  ``gcsod_realizations``.
+* ``_sorted_table`` gives all 2^n groupings of one profile from one sort
+  and cached rank arrays, where ``_group_rows`` would sort every column;
+  ``gcsod_expected`` and the exact-grouping estimate average it.
+
+The arrays are agent-major: an (n, rows) array holds one profile per
+column, so each reduction over the agents is an elementwise pass over n
+contiguous rows instead of a short loop per profile.  ``_group_rows`` sorts
+each profile once, with the right side's values negated, and reads both
+sides' descending orders off that one sort.
 
 The column sort (``_sort_columns``) is a compare-exchange network, built
 once per n: each comparator is an elementwise min and max of two agent
@@ -36,13 +46,10 @@ rows, a few passes over contiguous memory, where ``np.sort`` along the
 agent axis makes one tiny sort per column.  At n = 10 that takes 35 ns per
 profile against 84.
 
-For all 2^n groupings of one profile (``grouping_table``, the
-``gcsod_realizations`` read off its rows, ``gcsod_expected`` and the
-exact-grouping estimate) the profile is sorted once, and each grouping's two
-sides are read off rank arrays that are built once per n and cached, so no
-grouping is sorted.  Building those arrays is the one place that refuses
-more than ``ENUMERATION_CAP`` agents.  The test suite checks exact agreement
-with the scalar rules.
+``_sorted_table`` reads each grouping's two sides off rank arrays built
+once per n (``_sorted_groupings``), the one place that refuses more than
+``ENUMERATION_CAP`` agents.  The test suite checks both forms exactly
+against a scalar oracle of the group rule built from the public rules.
 """
 
 from __future__ import annotations
@@ -181,33 +188,6 @@ def _max_k(sorted_desc: Sequence[float], deadline: float) -> int:
     return best
 
 
-def _optimal_deadline(values: Sequence[float]) -> DeadlineResult:
-    """Deadline search over a bare value sequence; empty groups yield (1, 0)."""
-    sorted_desc = sorted(values, reverse=True)
-    earliest = math.inf
-    for k, v in enumerate(sorted_desc, start=1):
-        if v > 0.0:
-            earliest = min(earliest, 1.0 / (k * v))
-    t_star = min(earliest, 1.0)
-    return DeadlineResult(t_star, _max_k(sorted_desc, t_star))
-
-
-def _share_outcome(values: Sequence[float], deadline: float) -> Outcome:
-    """Cost sharing on [0, deadline]: top k* agents pay 1/k*, rest wait free."""
-    n = len(values)
-    sorted_desc = sorted(values, reverse=True)
-    k_star = _max_k(sorted_desc, deadline)
-    if k_star == 0:
-        return Outcome((deadline,) * n, (0.0,) * n, sold=False)
-    # k* never splits a tie (the tied value past it would qualify k*+1), so the
-    # top k* agents are exactly those whose value reaches the k*-th largest
-    cutoff = sorted_desc[k_star - 1]
-    share = 1.0 / k_star
-    times = tuple(0.0 if v >= cutoff else deadline for v in values)
-    payments = tuple(share if v >= cutoff else 0.0 for v in values)
-    return Outcome(times, payments, sold=True)
-
-
 def cs_allocate(profile: TypeProfile) -> Outcome:
     """Plain cost sharing: the unsold outcome has everyone wait until time 1."""
     return csd_allocate(profile, 1.0)
@@ -223,7 +203,18 @@ def csd_allocate(profile: TypeProfile, t_c: float) -> Outcome:
     """
     if not 0.0 <= t_c <= 1.0:
         raise ValueError(f"deadline must lie in [0, 1], got {t_c}")
-    return _share_outcome(profile.values, t_c)
+    values = profile.values
+    sorted_desc = sorted(values, reverse=True)
+    k_star = _max_k(sorted_desc, t_c)
+    if k_star == 0:
+        return Outcome((t_c,) * len(values), (0.0,) * len(values), sold=False)
+    # k* never splits a tie (the tied value past it would qualify k*+1), so the
+    # top k* agents are exactly those whose value reaches the k*-th largest
+    cutoff = sorted_desc[k_star - 1]
+    share = 1.0 / k_star
+    times = tuple(0.0 if v >= cutoff else t_c for v in values)
+    payments = tuple(share if v >= cutoff else 0.0 for v in values)
+    return Outcome(times, payments, sold=True)
 
 
 def optimal_deadline(profile: TypeProfile) -> DeadlineResult:
@@ -234,7 +225,13 @@ def optimal_deadline(profile: TypeProfile) -> DeadlineResult:
     and ``k_star`` reports the size of the sharing set at deadline 1, which
     may be 0.
     """
-    return _optimal_deadline(profile.values)
+    sorted_desc = sorted(profile.values, reverse=True)
+    earliest = math.inf
+    for k, v in enumerate(sorted_desc, start=1):
+        if v > 0.0:
+            earliest = min(earliest, 1.0 / (k * v))
+    t_star = min(earliest, 1.0)
+    return DeadlineResult(t_star, _max_k(sorted_desc, t_star))
 
 
 def csod_allocate(profile: TypeProfile) -> Outcome:
@@ -258,36 +255,14 @@ def gcsod_allocate(profile: TypeProfile, grouping: Grouping) -> Outcome:
     n = len(profile)
     if len(grouping) != n:
         raise ValueError(f"grouping has {len(grouping)} labels for {n} agents")
-    left = [i for i in range(n) if grouping.side[i] == "L"]
-    right = [i for i in range(n) if grouping.side[i] == "R"]
-    d_left = _optimal_deadline([profile.values[i] for i in left])
-    d_right = _optimal_deadline([profile.values[i] for i in right])
-
-    if d_left.t_star < d_right.t_star or (
-        d_left.t_star == d_right.t_star and d_left.k_star >= 1
-    ):
-        winner = left
-        own, extended = d_left.t_star, d_right.t_star
-    elif d_right.t_star < d_left.t_star or d_right.k_star >= 1:
-        winner = right
-        own, extended = d_right.t_star, d_left.t_star
-    else:
-        return Outcome((1.0,) * n, (0.0,) * n, sold=False)
-
-    winning = _share_outcome([profile.values[i] for i in winner], extended)
-    times = [own] * n
-    payments = [0.0] * n
-    for i, t, p in zip(winner, winning.times, winning.payments):
-        times[i] = t
-        payments[i] = p
-    return Outcome(tuple(times), tuple(payments), sold=True)
+    left = np.array([[s == "L"] for s in grouping.side])
+    return _realized(profile, left)[0]
 
 
 def gcsod_sample(profile: TypeProfile, seed: int) -> Outcome:
     """One realization of the group rule with fair coin flips drawn from ``seed``."""
     rng = np.random.default_rng(seed)
-    side = tuple("L" if u < 0.5 else "R" for u in rng.random(len(profile)))
-    return gcsod_allocate(profile, Grouping(side))
+    return _realized(profile, (rng.random(len(profile)) < 0.5)[:, None])[0]
 
 
 def _prices(ks: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
@@ -329,7 +304,7 @@ def _kstar_rows(sorted_desc: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
 
 
 def _deadline_rows(sorted_desc: np.ndarray) -> np.ndarray:
-    """Row-wise ``_optimal_deadline`` of agent-major sorted columns, capped at 1.
+    """Row-wise ``optimal_deadline`` of agent-major sorted columns, capped at 1.
 
     min over k of 1/(k*v_(k)) is 1/max(k*v_(k)), bit for bit, because the
     rounded reciprocal is monotone; capping the maximum at 1 caps the deadline.
@@ -492,33 +467,54 @@ def _sorted_table(sorted_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return times, payments
 
 
+def _group_outcomes(values: np.ndarray, left: np.ndarray):
+    """Per-agent times and payments of the group rule under each column of ``left``.
+
+    ``values`` is one profile, (n,); ``left`` holds one grouping per column,
+    (n, cols).  Each agent's result is read off ``_group_rows``' decision:
+    the payers are the winners whose value meets the k* price under the
+    extended deadline, which are the top k* winners, since k* never splits a
+    tie; the other winners wait until the extended deadline and the losers
+    until the winner's own one.  An unsold column has k* = 0, no payer and
+    everyone waiting until 1; its price is taken at k = 1, so that nothing
+    divides by zero.  Returns ``(times, payments, sold)``.
+    """
+    spread = np.repeat(values[:, None], left.shape[1], axis=1)
+    left_wins, sold, own, extended, k_star = _group_rows(spread, left)
+    k_paid = np.maximum(k_star, 1)
+    winner = left == left_wins
+    payer = winner & (spread >= _prices(k_paid, extended))
+    times = np.where(sold, np.where(winner, extended, own), 1.0)
+    times[payer] = 0.0
+    payments = np.where(payer, 1.0 / k_paid, 0.0)
+    return times, payments, sold
+
+
+def _realized(profile: TypeProfile, left: np.ndarray) -> list[Outcome]:
+    """The group rule's ``Outcome`` under each column of the coin flips ``left``."""
+    times, payments, sold = _group_outcomes(np.array(profile.values), left)
+    columns = zip(times.T.tolist(), payments.T.tolist(), sold.tolist())
+    return [Outcome(t, p, sold=s) for t, p, s in columns]
+
+
 def grouping_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent times and payments of the group rule for all 2^n groupings.
 
-    Returns (2^n, n) arrays, one grouping per row: row a puts agent i on the
-    left when bit i of a is set.  ``_sorted_table`` computes them over sorted
-    positions, and its rows and columns are mapped back to the agents.  The
-    scalar rule is the reference and the test suite checks exact agreement.
+    Returns (2^n, n) arrays, one grouping per row, in ``gcsod_realizations``'
+    order.  No library code calls it; the benchmark's tracer names it.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    order = np.argsort(-values, kind="stable")
-    times, payments = _sorted_table(values[order])
-    # grouping a puts sorted position j on the left when bit order[j] of a is set
-    codes = np.arange(2**n)[:, None]
-    column = ((((codes >> order) & 1) << np.arange(n)).sum(axis=1))[:, None]
-    position = np.argsort(order)
-    return times.T[column, position], payments.T[column, position]
+    times, payments, _ = _group_outcomes(values, _sorted_groupings(values.shape[0])[0])
+    return times.T, payments.T
 
 
 def gcsod_realizations(profile: TypeProfile) -> list[Outcome]:
     """The group rule's outcome under each of the 2^n equiprobable groupings.
 
-    Outcome a is ``grouping_table``'s row a: agent i is on the left when bit
-    i of a is set.  The bug sells exactly when some agent pays.
+    Outcome a puts agent i on the left when bit i of a is set: the columns of
+    ``_sorted_groupings``, read over the agents in their given order.
     """
-    times, payments = grouping_table(np.array(profile.values))
-    return [Outcome(t, p, sold=any(p)) for t, p in zip(times.tolist(), payments.tolist())]
+    return _realized(profile, _sorted_groupings(len(profile))[0])
 
 
 def gcsod_expected(profile: TypeProfile) -> ExpectedOutcome:

@@ -37,11 +37,11 @@ import numpy as np
 from .distributions import DistributionSpec, draw
 from .lowerbound import max_delay_lower_bound, sum_delay_lower_bound
 from .mechanisms import (
-    ENUMERATION_CAP,
     _deadline_rows,
     _group_rows,
     _kstar_rows,
     _sort_columns,
+    _sorted_groupings,
     _sorted_table,
 )
 
@@ -81,8 +81,8 @@ class SimulationConfig:
         if self.mode == "exact_grouping":
             if self.mechanism != "gcsod":
                 raise ValueError("exact_grouping mode only applies to gcsod")
-            if self.n > ENUMERATION_CAP:
-                raise ValueError(f"exact_grouping capped at n={ENUMERATION_CAP}")
+            # the one cap check; it caches the arrays that ``estimate`` reads next
+            _sorted_groupings(self.n)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def _share_delays(
     ``sorted_desc`` is agent-major, (n, rows); ``deadlines`` holds one
     deadline per column, or one for all of them.  k* = n means the row sold
     and nobody waits; an unsold row has k* = 0 and everyone waits until the
-    deadline, as in ``_share_outcome``.
+    deadline, as in ``csd_allocate``.
     """
     n = sorted_desc.shape[0]
     k_star = _kstar_rows(sorted_desc, deadlines)

@@ -8,7 +8,14 @@ import numpy as np
 
 from bugshare import lowerbound
 from bugshare.distributions import discretize
-from bugshare.mechanisms import Grouping, TypeProfile, gcsod_allocate
+from bugshare.mechanisms import (
+    DeadlineResult,
+    Grouping,
+    Outcome,
+    TypeProfile,
+    csd_allocate,
+    optimal_deadline,
+)
 
 # Reference values for the benchmark grid, keyed by (distribution label, n).
 # Columns: (gcsod_max, cs_max, lb_max, gcsod_sum, cs_sum, lb_sum), all
@@ -67,11 +74,46 @@ def brute_force_sharing_set(values, deadline=1.0, tol=1e-12):
     return members
 
 
+def gcsod_oracle(profile: TypeProfile, grouping: Grouping) -> Outcome:
+    """The group rule under one grouping, built from the public scalar rules.
+
+    Each side's deadline is ``optimal_deadline`` of its own members; an empty
+    side has deadline 1 and nobody to fund it.  The side with the earlier
+    deadline wins, exact ties going to the left when it can fund, and runs
+    ``csd_allocate`` under the other side's deadline; the losers wait until
+    the winner's own deadline.  When neither side funds, nobody buys.
+    """
+    n = len(profile)
+    sides = [[i for i in range(n) if grouping.side[i] == s] for s in "LR"]
+    d_left, d_right = (
+        optimal_deadline(TypeProfile(tuple(profile.values[i] for i in side)))
+        if side
+        else DeadlineResult(1.0, 0)
+        for side in sides
+    )
+    if d_left.t_star < d_right.t_star or (
+        d_left.t_star == d_right.t_star and d_left.k_star >= 1
+    ):
+        winner, own, extended = sides[0], d_left.t_star, d_right.t_star
+    elif d_right.t_star < d_left.t_star or d_right.k_star >= 1:
+        winner, own, extended = sides[1], d_right.t_star, d_left.t_star
+    else:
+        return Outcome((1.0,) * n, (0.0,) * n, sold=False)
+
+    winning = csd_allocate(TypeProfile(tuple(profile.values[i] for i in winner)), extended)
+    times = [own] * n
+    payments = [0.0] * n
+    for i, t, p in zip(winner, winning.times, winning.payments):
+        times[i] = t
+        payments[i] = p
+    return Outcome(tuple(times), tuple(payments), sold=True)
+
+
 def enumerate_gcsod(profile: TypeProfile):
-    """Yield (grouping, outcome) for every left/right split via the scalar rule."""
+    """Yield (grouping, outcome) for every left/right split via the scalar oracle."""
     for bits in itertools.product("LR", repeat=len(profile)):
         grouping = Grouping(bits)
-        yield grouping, gcsod_allocate(profile, grouping)
+        yield grouping, gcsod_oracle(profile, grouping)
 
 
 def gcsod_expectation_oracle(profile: TypeProfile):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bugshare.audit import (
+    AuditReport,
     BoundViolation,
     alpha,
     check_bb,
@@ -316,6 +317,23 @@ def test_competitive_assumption_gates():
     assert check_competitive_max(profile).assumptions_hold
 
 
+def test_competitive_bounds_raise_only_where_their_gates_hold(monkeypatch):
+    # a group rule 100 times slower than the baseline breaks both bounds
+    import bugshare.audit as audit_mod
+    from bugshare.mechanisms import ExpectedOutcome
+
+    slow = ExpectedOutcome((1.0,) * 4, (0.25,) * 4, max_delay=62.5, sum_delay=125.0)
+    monkeypatch.setattr(audit_mod, "gcsod_expected", lambda profile: slow)
+    with pytest.raises(BoundViolation, match=r"^max-delay ratio 100\.0 exceeds 4\.0 on \(0\.9,"):
+        check_competitive_max(EXAMPLE_PROFILE)
+    with pytest.raises(BoundViolation, match=r"^sum-delay ratio 100\.0 exceeds 8\.0 on \(0\.9,"):
+        check_competitive_sum(EXAMPLE_PROFILE)
+    # (0.9, 0.9, 0.1) has two sharers of three: the sum gate is closed
+    report = check_competitive_sum(TypeProfile((0.9, 0.9, 0.1)))
+    assert not report.assumptions_hold
+    assert report.ratio_sum > 8.0
+
+
 def test_competitive_random_suite_within_bounds():
     rng = np.random.default_rng(71)
     checked = 0
@@ -338,3 +356,25 @@ def test_audit_report_json_round_trip():
     assert not report.passed
     # the two agents whose value is 0.26 have no misreport on this grid
     assert report.probes == 2
+    # the ``audit`` command prints these bytes: key order and indent are fixed
+    one = AuditReport(report.property, report.violations[:1], report.probes)
+    assert one.to_json() == (
+        "{\n"
+        '  "property": "SP",\n'
+        '  "passed": false,\n'
+        '  "probes": 2,\n'
+        '  "violations": [\n'
+        "    {\n"
+        '      "profile": [\n'
+        "        0.9,\n"
+        "        0.8,\n"
+        "        0.26,\n"
+        "        0.26\n"
+        "      ],\n"
+        '      "agent": 0,\n'
+        '      "detail": 0.26,\n'
+        '      "amount": 0.25\n'
+        "    }\n"
+        "  ]\n"
+        "}"
+    )

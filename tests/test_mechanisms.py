@@ -16,9 +16,12 @@ from bugshare.mechanisms import (
     gcsod_expected,
     gcsod_realizations,
     gcsod_sample,
+    grouping_table,
     optimal_deadline,
     _group_rows,
     _sort_columns,
+    _sorted_groupings,
+    _sorted_table,
 )
 from bugshare.simulate import batch_csod_delays
 
@@ -28,6 +31,7 @@ from helpers import (
     brute_force_sharing_set,
     enumerate_gcsod,
     gcsod_expectation_oracle,
+    gcsod_oracle,
     random_profiles,
 )
 
@@ -376,18 +380,42 @@ def test_gcsod_expected_matches_scalar_enumeration():
         assert exp.sum_delay == pytest.approx(sm, abs=1e-12)
 
 
-def test_gcsod_expected_agrees_with_allocate_per_grouping():
-    # the vectorized grouping table must replicate the scalar rule exactly
-    from bugshare.mechanisms import grouping_table
+def _value_kinds(rng, n):
+    """One profile each of uniform, ``TIE_GRID`` and e^[0,20]-scaled values."""
+    return [
+        TypeProfile(tuple(rng.random(n) * 1.2)),
+        TypeProfile(tuple(rng.choice(TIE_GRID, n))),
+        TypeProfile(tuple(np.exp(rng.random(n) * 20.0) * rng.random(n))),
+    ]
 
+
+def _side(code, n):
+    return tuple("L" if (code >> i) & 1 else "R" for i in range(n))
+
+
+def test_gcsod_expected_agrees_with_allocate_per_grouping():
+    # every grouping of the sorted-space table and of the one-column rule must
+    # replicate the scalar oracle exactly; past six agents the rule is checked
+    # on random groupings
     rng = np.random.default_rng(3)
-    for profile in random_profiles(rng, 10, n_low=1, n_high=6):
-        times, payments = grouping_table(np.array(profile.values))
-        for code in range(2 ** len(profile)):
-            side = tuple("L" if (code >> i) & 1 else "R" for i in range(len(profile)))
-            out = gcsod_allocate(profile, Grouping(side))
-            assert tuple(times[code]) == out.times
-            assert tuple(payments[code]) == out.payments
+    for n in range(1, 7):
+        for profile in _value_kinds(rng, n):
+            values = np.array(profile.values)
+            order = np.argsort(-values, kind="stable")
+            times, payments = _sorted_table(values[order])
+            ranked = TypeProfile(tuple(values[order]))
+            for code in range(2**n):
+                grouping = Grouping(_side(code, n))
+                # column c puts sorted position j on the left when bit j of c is set
+                want = gcsod_oracle(ranked, grouping)
+                assert tuple(times[:, code]) == want.times
+                assert tuple(payments[:, code]) == want.payments
+                assert gcsod_allocate(profile, grouping) == gcsod_oracle(profile, grouping)
+    for n in range(7, 13):
+        for profile in _value_kinds(rng, n):
+            for code in rng.integers(2**n, size=20):
+                grouping = Grouping(_side(int(code), n))
+                assert gcsod_allocate(profile, grouping) == gcsod_oracle(profile, grouping)
 
 
 CAP_MESSAGE = (
@@ -404,13 +432,17 @@ def test_gcsod_expected_rejects_large_n():
 
 def test_gcsod_realizations_match_scalar_enumeration_and_cap():
     rng = np.random.default_rng(11)
-    for profile in [EXAMPLE_PROFILE, *random_profiles(rng, 10, n_low=1, n_high=6)]:
+    profiles = [EXAMPLE_PROFILE, *random_profiles(rng, 10, n_low=1, n_high=6)]
+    profiles += [p for n in (1, 4, 6) for p in _value_kinds(rng, n)]
+    for profile in profiles:
         realizations = gcsod_realizations(profile)
         assert len(realizations) == 2 ** len(profile)
+        times, payments = grouping_table(np.array(profile.values))
         # realization a puts agent i on the left when bit i of a is set
         for grouping, out in enumerate_gcsod(profile):
             code = sum(1 << i for i, s in enumerate(grouping.side) if s == "L")
             assert realizations[code] == out
+            assert (tuple(times[code]), tuple(payments[code])) == (out.times, out.payments)
     with pytest.raises(ValueError, match=CAP_MESSAGE):
         gcsod_realizations(TypeProfile((0.5,) * 17))
     assert len(gcsod_realizations(TypeProfile((0.5,) * 3))) == 8
@@ -418,12 +450,13 @@ def test_gcsod_realizations_match_scalar_enumeration_and_cap():
 
 def test_every_grouping_enumeration_refuses_past_the_cap():
     # the cap is checked where the (n, 2^n) grouping arrays are built, so the
-    # table and the exact-grouping estimate refuse 17 agents too, and the
+    # tables and the exact-grouping estimate refuse 17 agents too, and the
     # failed build leaves nothing in the per-n cache
-    from bugshare.mechanisms import _sorted_groupings, grouping_table
     from bugshare.simulate import _exact_grouping_delays
 
     _sorted_groupings.cache_clear()
+    with pytest.raises(ValueError, match=CAP_MESSAGE):
+        _sorted_table(np.full(17, 0.5))
     with pytest.raises(ValueError, match=CAP_MESSAGE):
         grouping_table(np.full(17, 0.5))
     with pytest.raises(ValueError, match=CAP_MESSAGE):

@@ -16,7 +16,7 @@ from bugshare.mechanisms import (
     csod_allocate,
     gcsod_allocate,
     gcsod_expected,
-    grouping_table,
+    gcsod_realizations,
 )
 from bugshare.simulate import (
     SimulationConfig,
@@ -33,7 +33,7 @@ from bugshare.simulate import (
     table_to_json,
 )
 
-from helpers import TIE_GRID, gcsod_expectation_oracle
+from helpers import TIE_GRID, gcsod_expectation_oracle, gcsod_oracle
 
 GOLDEN = Path(__file__).parent / "golden" / "table_small.csv"
 UNIFORM = DistributionSpec.parse("U(0,1)")
@@ -87,7 +87,7 @@ def test_batch_gcsod_matches_scalar(n):
     mx, sm = batch_gcsod_delays(values, left)
     for row in range(values.shape[0]):
         side = tuple("L" if flag else "R" for flag in left[row])
-        out = gcsod_allocate(TypeProfile(tuple(values[row])), Grouping(side))
+        out = gcsod_oracle(TypeProfile(tuple(values[row])), Grouping(side))
         assert mx[row] == max(out.times)
         assert sm[row] == pytest.approx(sum(out.times), abs=1e-12)
 
@@ -99,18 +99,21 @@ def test_batch_gcsod_matches_scalar(n):
 @example((0.5, 0.5), 0.5)
 @example((0.9, 0.8, 0.26, 0.26), 0.625)
 @example((0.73, 0.73, 0.73, 0.73), 1.0)
+# values exactly on their k* price at deadline 1, slack included: they pay
+@example((1.0 - 1e-12,), 1.0)
+@example((0.5 - 1e-12, 0.5 - 1e-12, 0.0), 1.0)
 @settings(max_examples=150, deadline=None)
 def test_array_rules_match_scalar_rules_on_ties_and_thresholds(values, t_c):
     profile = TypeProfile(values)
     n = len(values)
-    times, payments = grouping_table(np.array(values))
+    realizations = gcsod_realizations(profile)
     left = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
     g_mx, g_sm = batch_gcsod_delays(np.tile(values, (2**n, 1)), left)
     for code in range(2**n):
-        side = tuple("L" if flag else "R" for flag in left[code])
-        out = gcsod_allocate(profile, Grouping(side))
-        assert tuple(times[code]) == out.times
-        assert tuple(payments[code]) == out.payments
+        grouping = Grouping(tuple("L" if flag else "R" for flag in left[code]))
+        out = gcsod_oracle(profile, grouping)
+        assert realizations[code] == out
+        assert gcsod_allocate(profile, grouping) == out
         assert g_mx[code] == max(out.times)
         assert g_sm[code] == pytest.approx(sum(out.times), abs=1e-12)
 
@@ -151,8 +154,9 @@ def test_agent_major_kernels_match_scalar_rules_past_six_agents(case, t_c):
     rows = np.tile(values, (len(splits), 1))
     g_mx, g_sm = batch_gcsod_delays(rows, left)
     for r, split in enumerate(splits):
-        side = tuple("L" if flag else "R" for flag in split)
-        out = gcsod_allocate(profile, Grouping(side))
+        grouping = Grouping(tuple("L" if flag else "R" for flag in split))
+        out = gcsod_oracle(profile, grouping)
+        assert gcsod_allocate(profile, grouping) == out
         assert g_mx[r] == max(out.times)
         assert g_sm[r] == pytest.approx(sum(out.times), abs=1e-12)
     for (mx, sm), out in (
@@ -164,9 +168,10 @@ def test_agent_major_kernels_match_scalar_rules_past_six_agents(case, t_c):
         assert sm == pytest.approx(sum(out.times), abs=1e-12)
 
 
-# The grouping table is built over the agents in sorted order and mapped back,
-# so ties between agents, ties between the two sides' deadlines and the order
-# of the agents all pass through one argsort.  The examples are the tie
+# ``gcsod_expected`` averages a table built over the agents in sorted order
+# and maps it back, so ties between agents, ties between the two sides'
+# deadlines and the order of the agents all pass through one argsort; the
+# realizations are read over the agents as given.  The examples are the tie
 # profiles of the kernel test above, each with one reordering.
 @given(
     st.integers(7, 10).flatmap(
@@ -185,12 +190,10 @@ def test_grouping_enumeration_matches_scalar_rule_past_six_agents(case):
     values, order = case
     profile = TypeProfile(values)
     n = len(values)
-    times, payments = grouping_table(np.array(values))
+    realizations = gcsod_realizations(profile)
     for code in range(2**n):
         side = tuple("L" if (code >> i) & 1 else "R" for i in range(n))
-        out = gcsod_allocate(profile, Grouping(side))
-        assert tuple(times[code]) == out.times
-        assert tuple(payments[code]) == out.payments
+        assert realizations[code] == gcsod_oracle(profile, Grouping(side))
 
     exp = gcsod_expected(profile)
     o_times, o_payments, o_max, o_sum = gcsod_expectation_oracle(profile)
@@ -243,7 +246,7 @@ def test_kernels_match_scalar_rules_at_larger_n(n):
         profile = TypeProfile(tuple(values[r]))
         side = tuple("L" if flag else "R" for flag in left[r])
         for mx, sm, out in (
-            (g_mx, g_sm, gcsod_allocate(profile, Grouping(side))),
+            (g_mx, g_sm, gcsod_oracle(profile, Grouping(side))),
             (cs_mx, cs_sm, cs_allocate(profile)),
             (csd_mx, csd_sm, csd_allocate(profile, t_c)),
             (csod_mx, csod_sm, csod_allocate(profile)),
@@ -368,6 +371,13 @@ def test_config_validation():
         SimulationConfig("cs", UNIFORM, n=2, samples=10, seed=0, mode="exact_grouping")
     with pytest.raises(ValueError):
         SimulationConfig("gcsod", UNIFORM, n=20, samples=10, seed=0, mode="exact_grouping")
+    # the library's one cap check, with its one message
+    cap = (
+        r"^exact grouping enumeration capped at n=16; got n=17 "
+        r"\(use Monte Carlo sampling instead\)$"
+    )
+    with pytest.raises(ValueError, match=cap):
+        SimulationConfig("gcsod", UNIFORM, n=17, samples=10, seed=0, mode="exact_grouping")
 
 
 @pytest.mark.parametrize("mechanism", ["cs", "csod", "gcsod"])
