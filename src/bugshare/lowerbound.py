@@ -16,18 +16,31 @@ sum-delay bound (scaled by n); minimizing a conditional-delay surrogate for
 each truncation point i and keeping the largest optimum yields the max-delay
 bound.
 
-Every constraint is a ``<=`` row of one dense system ``A_ub @ x <= b_ub``
-over x = (t_0..t_H, p_0..p_H, C), 2H+3 columns.  Its 3H+8 rows are, in
-order: the chain (H+1), the sandwich as a lower/upper pair per i (2(H+1)),
-the two budget rows, the allocation row, and C <= 1 and -C <= 0.  The chain
-and sandwich depend only on the grid (``_arrays``); the last five rows carry
-the prior's masses and n (``build_common_constraints``).  Both bounds hand
-the system to scipy's HiGHS solver.
+The payments enter in slack form.  With the type at segment edge i equal to
+i*delta, the sandwich of p_i is L_i(t) <= p_i <= U_i(t), where
+
+    L_i(t) = delta * sum_{z=1..i} t_z - i*delta*t_i
+    U_i(t) = delta * sum_{z=0..i-1} t_z - i*delta*t_i = L_i(t) + delta*(t_0 - t_i).
+
+Substituting p_i = L_i(t) + w_i is an exact change of variables: the lower
+side becomes the bound w_i >= 0 and the upper side the three-term row
+w_i <= delta*(t_0 - t_i), so only the budget rows keep O(H) terms and the
+system has O(H) nonzeros where the sandwich rows in p alone hold O(H^2).
+
+Every constraint is a ``<=`` row of one sparse CSR system ``A_ub @ x <= b_ub``
+over x = (t_0..t_H, w_0..w_H, C), 2H+3 columns.  Its 2H+7 rows are, in
+order: the chain (H+1), the band w_i <= delta*(t_0 - t_i) per i (H+1; the
+i = 0 row pins w_0 = 0), the two budget rows, the allocation row, and C <= 1
+and -C <= 0.  The chain and band depend only on the grid (``_arrays``); the
+last five rows carry the prior's masses and n (``build_common_constraints``).
+Both bounds hand the system to scipy's HiGHS solver.  Their objectives weigh
+the t_i alone, so the substitution leaves them unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .distributions import DistributionSpec, SegmentedDistribution, discretize
@@ -35,60 +48,56 @@ from .distributions import DistributionSpec, SegmentedDistribution, discretize
 FEASIBILITY_TOL = 1e-7
 
 
-def _arrays(H: int, delta: float) -> np.ndarray:
-    """The (3H+3, 2H+3) chain and sandwich rows of an H-segment grid of width delta.
+def _arrays(H: int, delta: float) -> sparse.csr_array:
+    """The (2H+2, 2H+3) chain and band rows of an H-segment grid of width delta.
 
     Chain row i is t_i - t_{i-1} <= 0, and t_0 <= 1 for i = 0; that 1 is the
-    only nonzero right-hand side.  Sandwich pair i, with the type at segment
-    edge i equal to i*delta, is
-
-        lower:  i*delta*(1 - t_i) - sum_{z=1..i} (1 - t_z)*delta <= p_i
-        upper:  p_i <= i*delta*(1 - t_i) - sum_{z=0..i-1} (1 - t_z)*delta
-
-    with the constants cancelled; the i = 0 pair pins p_0 = 0.
+    only nonzero right-hand side.  Band row i is w_i + delta*t_i - delta*t_0
+    <= 0, the upper payment sandwich in slack form; for i = 0 its t terms
+    cancel, leaving w_0 <= 0.
     """
     i = np.arange(H + 1)
-    chain = np.zeros((H + 1, 2 * H + 3))
-    chain[i, i] = 1.0
-    chain[i[1:], i[:-1]] = -1.0
-
-    lower = np.tril(np.full((H + 1, H + 1), delta))
-    lower[:, 0] = 0.0
-    lower[i, i] -= i * delta
-    upper = np.tril(np.full((H + 1, H + 1), -delta), -1)
-    upper[i, i] = i * delta
-    sandwich = np.zeros((H + 1, 2, 2 * H + 3))
-    sandwich[:, 0, : H + 1] = lower
-    sandwich[:, 1, : H + 1] = upper
-    sandwich[i, 0, H + 1 + i] = -1.0
-    sandwich[i, 1, H + 1 + i] = 1.0
-    return np.vstack([chain, sandwich.reshape(2 * H + 2, 2 * H + 3)])
+    j = i[1:]
+    rows = np.concatenate([i, j, H + 1 + i, H + 1 + j, H + 1 + j])
+    cols = np.concatenate([i, j - 1, H + 1 + i, j, np.zeros(H, dtype=int)])
+    vals = np.concatenate(
+        [np.ones(H + 1), np.full(H, -1.0), np.ones(H + 1), np.full(H, delta), np.full(H, -delta)]
+    )
+    return sparse.csr_array((vals, (rows, cols)), shape=(2 * H + 2, 2 * H + 3))
 
 
 def build_common_constraints(
     seg: SegmentedDistribution, n: int
-) -> tuple[np.ndarray, np.ndarray, list[tuple[float | None, float | None]]]:
+) -> tuple[sparse.csr_array, np.ndarray, list[tuple[float | None, float | None]]]:
     """``(A_ub, b_ub, bounds)`` of the constraint system shared by both bounds.
 
-    Adds to the grid's chain and sandwich rows, with P(z) the segment masses,
-    the budget rows sum_z P(z) p_{z-1} <= (1 - C)/n <= sum_z P(z) p_z, the
-    allocation row C <= sum_z P(z) t_{z-1}, and the rows 0 <= C <= 1.  The
-    variable bounds are [0, 1] for the t_i and C and free for the p_i.
+    The columns are t_0..t_H, w_0..w_H and C, where w_i = p_i - L_i(t) is the
+    slack of the expected payment p_i above its lower sandwich L_i(t) (module
+    docstring).  Adds to the grid's chain and band rows, with P(z) the segment
+    masses, the budget rows sum_z P(z) p_{z-1} <= (1 - C)/n <= sum_z P(z) p_z,
+    the allocation row C <= sum_z P(z) t_{z-1}, and the rows 0 <= C <= 1.  A
+    budget row that weighs p_y by a_y weighs w_y by a_y and, for y >= 1, t_y
+    by delta * (sum_{z>=y} a_z - y*a_y).  The variable bounds are [0, 1] for
+    the t_i and C and [0, inf) for the w_i.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    H = seg.H
+    H, delta = seg.H, seg.delta
     P = np.array(seg.masses)
+    pay = np.zeros((2, H + 1))
+    pay[0, :H] = P
+    pay[1, 1:] = -P
+    tail = np.cumsum(pay[:, ::-1], axis=1)[:, ::-1]
     prior = np.zeros((5, 2 * H + 3))
-    prior[0, H + 1 : 2 * H + 1] = P
-    prior[1, H + 2 : 2 * H + 2] = -P
+    prior[:2, 1 : H + 1] = delta * (tail - np.arange(H + 1) * pay)[:, 1:]
+    prior[:2, H + 1 : 2 * H + 2] = pay
     prior[2, :H] = -P
     prior[:, -1] = (1.0 / n, -1.0 / n, 1.0, 1.0, -1.0)
-    a_ub = np.vstack([_arrays(H, seg.delta), prior])
-    b_ub = np.zeros(3 * H + 8)
+    a_ub = sparse.vstack([_arrays(H, delta), sparse.csr_array(prior)], format="csr")
+    b_ub = np.zeros(2 * H + 7)
     b_ub[0] = 1.0
     b_ub[-5:] = (1.0 / n, -1.0 / n, 0.0, 1.0, 0.0)
-    bounds = [(0.0, 1.0)] * (H + 1) + [(None, None)] * (H + 1) + [(0.0, 1.0)]
+    bounds = [(0.0, 1.0)] * (H + 1) + [(0.0, None)] * (H + 1) + [(0.0, 1.0)]
     return a_ub, b_ub, bounds
 
 
@@ -134,22 +143,21 @@ def _max_delay_search(spec: DistributionSpec, n: int, H: int) -> tuple[float, in
     head = np.cumsum(P)
     points = np.flatnonzero(head > 0.0) + 1
     mass_below = head[points - 1]
-    hit_prob = 1.0 - (1.0 - mass_below) ** n
-    # Row r is the objective of truncation point points[r]: the masses of the
-    # segments below the point, scaled by P(some report below) / P(below).
-    Cmat = np.zeros((len(points), a_ub.shape[1]))
-    below = np.arange(H) < points[:, None]
-    Cmat[:, 1 : H + 1] = np.where(below, P * (hit_prob / mass_below)[:, None], 0.0)
+    # The objective of truncation point points[r] weighs the t of the segments
+    # below the point by their masses, scaled by P(some report below) / P(below).
+    scale = (1.0 - (1.0 - mass_below) ** n) / mass_below
 
     ub = np.full(len(points), np.inf)
     best, best_i, solves = -np.inf, 0, 0
     while ub.max() > best:
         r = len(ub) - 1 - int(np.argmax(ub[::-1]))
-        res = _solve(Cmat[r], a_ub, b_ub, bounds)
+        c = np.zeros(a_ub.shape[1])
+        c[1 : points[r] + 1] = P[: points[r]] * scale[r]
+        res = _solve(c, a_ub, b_ub, bounds)
         solves += 1
         if res.fun > best:
             best, best_i = float(res.fun), int(points[r])
-        ub = np.minimum(ub, Cmat @ res.x)
+        ub = np.minimum(ub, scale * np.cumsum(P * res.x[1 : H + 1])[points - 1])
         ub[r] = -np.inf
     return best, best_i, solves
 

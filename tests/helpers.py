@@ -178,23 +178,98 @@ def lp_grid_oracle(masses, n, step=1e-3):
     return best
 
 
+def dense_arrays(H: int, delta: float) -> np.ndarray:
+    """The (3H+3, 2H+3) chain and sandwich rows of an H-segment grid of width delta.
+
+    The library's LP written in the payments themselves, as one dense array:
+    columns t_0..t_H, p_0..p_H, C.  Chain row i is t_i - t_{i-1} <= 0, and t_0 <= 1 for i = 0; that 1 is
+    the only nonzero right-hand side.  Sandwich pair i, with the type at
+    segment edge i equal to i*delta, is
+
+        lower:  i*delta*(1 - t_i) - sum_{z=1..i} (1 - t_z)*delta <= p_i
+        upper:  p_i <= i*delta*(1 - t_i) - sum_{z=0..i-1} (1 - t_z)*delta
+
+    with the constants cancelled; the i = 0 pair pins p_0 = 0.
+    """
+    i = np.arange(H + 1)
+    chain = np.zeros((H + 1, 2 * H + 3))
+    chain[i, i] = 1.0
+    chain[i[1:], i[:-1]] = -1.0
+
+    lower = np.tril(np.full((H + 1, H + 1), delta))
+    lower[:, 0] = 0.0
+    lower[i, i] -= i * delta
+    upper = np.tril(np.full((H + 1, H + 1), -delta), -1)
+    upper[i, i] = i * delta
+    sandwich = np.zeros((H + 1, 2, 2 * H + 3))
+    sandwich[:, 0, : H + 1] = lower
+    sandwich[:, 1, : H + 1] = upper
+    sandwich[i, 0, H + 1 + i] = -1.0
+    sandwich[i, 1, H + 1 + i] = 1.0
+    return np.vstack([chain, sandwich.reshape(2 * H + 2, 2 * H + 3)])
+
+
+def dense_common_constraints(seg, n):
+    """``(A_ub, b_ub, bounds)`` of the dense p-form system, the library LP's oracle.
+
+    Adds to the grid's chain and sandwich rows, with P(z) the segment masses,
+    the budget rows sum_z P(z) p_{z-1} <= (1 - C)/n <= sum_z P(z) p_z, the
+    allocation row C <= sum_z P(z) t_{z-1}, and the rows 0 <= C <= 1.  The
+    variable bounds are [0, 1] for the t_i and C and free for the p_i.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    H = seg.H
+    P = np.array(seg.masses)
+    prior = np.zeros((5, 2 * H + 3))
+    prior[0, H + 1 : 2 * H + 1] = P
+    prior[1, H + 2 : 2 * H + 2] = -P
+    prior[2, :H] = -P
+    prior[:, -1] = (1.0 / n, -1.0 / n, 1.0, 1.0, -1.0)
+    a_ub = np.vstack([dense_arrays(H, seg.delta), prior])
+    b_ub = np.zeros(3 * H + 8)
+    b_ub[0] = 1.0
+    b_ub[-5:] = (1.0 / n, -1.0 / n, 0.0, 1.0, 0.0)
+    bounds = [(0.0, 1.0)] * (H + 1) + [(None, None)] * (H + 1) + [(0.0, 1.0)]
+    return a_ub, b_ub, bounds
+
+
+def dense_sum_bound(spec, n, H):
+    """``sum_delay_lower_bound`` solved on the dense p-form system."""
+    seg = discretize(spec, H)
+    a_ub, b_ub, bounds = dense_common_constraints(seg, n)
+    c = np.zeros(a_ub.shape[1])
+    c[1 : H + 1] = seg.masses
+    return n * float(lowerbound._solve(c, a_ub, b_ub, bounds).fun)
+
+
+def dense_truncation_optima(spec, n, H, points=None):
+    """{i: optimum of truncation LP i} on the dense p-form system.
+
+    One LP per truncation point i in ``points`` (default: every i with
+    positive mass below it), each objective built on its own.
+    """
+    seg = discretize(spec, H)
+    a_ub, b_ub, bounds = dense_common_constraints(seg, n)
+    P = np.array(seg.masses)
+    head = np.cumsum(P)
+    if points is None:
+        points = [i for i in range(1, H + 1) if head[i - 1] > 0.0]
+    optima = {}
+    for i in points:
+        mass_below = head[i - 1]
+        c = np.zeros(a_ub.shape[1])
+        c[1 : i + 1] = P[:i] * ((1.0 - (1.0 - mass_below) ** n) / mass_below)
+        optima[i] = float(lowerbound._solve(c, a_ub, b_ub, bounds).fun)
+    return optima
+
+
 def exhaustive_max_delay_bound(spec, n, H):
     """The max-delay bound by solving every truncation LP; (value, LPs solved).
 
-    The reference for the library's pruned search: one LP per truncation
-    point i with positive mass below it, each objective built on its own, and
-    the largest optimum kept.
+    The reference for the library's pruned search and its sparse slack-form
+    system: every truncation LP solved on the dense p-form system, and the
+    largest optimum kept.
     """
-    seg = discretize(spec, H)
-    a_ub, b_ub, bounds = lowerbound.build_common_constraints(seg, n)
-    P = np.array(seg.masses)
-    head = np.cumsum(P)
-    optima = []
-    for i in range(1, H + 1):
-        mass_below = head[i - 1]
-        if mass_below <= 0.0:
-            continue
-        c = np.zeros(a_ub.shape[1])
-        c[1 : i + 1] = P[:i] * ((1.0 - (1.0 - mass_below) ** n) / mass_below)
-        optima.append(float(lowerbound._solve(c, a_ub, b_ub, bounds).fun))
-    return max(optima), len(optima)
+    optima = dense_truncation_optima(spec, n, H)
+    return max(optima.values()), len(optima)

@@ -15,7 +15,13 @@ from bugshare.lowerbound import (
     sum_delay_lower_bound,
 )
 
-from helpers import exhaustive_max_delay_bound, lp_grid_oracle
+from helpers import (
+    dense_common_constraints,
+    dense_sum_bound,
+    dense_truncation_optima,
+    exhaustive_max_delay_bound,
+    lp_grid_oracle,
+)
 
 UNIFORM = DistributionSpec.parse("U(0,1)")
 
@@ -25,8 +31,9 @@ UNIFORM = DistributionSpec.parse("U(0,1)")
 
 def test_h2_arrays_match_the_written_out_system():
     # U(0,1), H=2, n=2: delta = 1/2, masses P = (1/2, 1/2), 1/n = 1/2.
-    # Columns t_0 t_1 t_2 p_0 p_1 p_2 C; each row is one formula of the
-    # module docstring moved to "<= rhs" form.
+    # Columns t_0 t_1 t_2 w_0 w_1 w_2 C, with p_i = L_i(t) + w_i and
+    #   L_0 = 0,  L_1 = d*t_1 - d*t_1 = 0,  L_2 = d*(t_1 + t_2) - 2d*t_2 = d*(t_1 - t_2);
+    # each row is one formula of the module docstring moved to "<= rhs" form.
     h = 0.5
     expected_a = np.array(
         [
@@ -34,18 +41,17 @@ def test_h2_arrays_match_the_written_out_system():
             [1, 0, 0, 0, 0, 0, 0],
             [-1, 1, 0, 0, 0, 0, 0],
             [0, -1, 1, 0, 0, 0, 0],
-            # i=0: 0 <= p_0 <= 0
-            [0, 0, 0, -1, 0, 0, 0],
+            # band i: p_i <= U_i = L_i + d*(t_0 - t_i) becomes w_i + d*t_i - d*t_0 <= 0
+            # i=0: w_0 <= 0 (the t terms cancel)
             [0, 0, 0, 1, 0, 0, 0],
-            # i=1: lower d(1-t_1) - d(1-t_1) = 0 <= p_1; upper p_1 <= d(t_0 - t_1)
-            [0, 0, 0, 0, -1, 0, 0],
+            # i=1: w_1 + d*t_1 - d*t_0 <= 0
             [-h, h, 0, 0, 1, 0, 0],
-            # i=2: lower d(t_1 - t_2) <= p_2; upper p_2 <= d(t_0 - t_2) + d(t_1 - t_2)
-            [0, h, -h, 0, 0, -1, 0],
-            [-h, -h, 2 * h, 0, 0, 1, 0],
-            # budget: P_1 p_0 + P_2 p_1 <= (1 - C)/n <= P_1 p_1 + P_2 p_2
+            # i=2: w_2 + d*t_2 - d*t_0 <= 0
+            [-h, 0, h, 0, 0, 1, 0],
+            # budget: P_1 p_0 + P_2 p_1 <= (1 - C)/n, with p_0 = w_0 and p_1 = w_1
             [0, 0, 0, h, h, 0, h],
-            [0, 0, 0, 0, -h, -h, -h],
+            # budget: (1 - C)/n <= P_1 p_1 + P_2 p_2 = P_1 w_1 + P_2 (d*(t_1 - t_2) + w_2)
+            [0, -h * h, h * h, 0, -h, -h, -h],
             # allocation: C <= P_1 t_0 + P_2 t_1
             [-h, -h, 0, 0, 0, 0, 1],
             # C <= 1, -C <= 0
@@ -54,21 +60,23 @@ def test_h2_arrays_match_the_written_out_system():
         ],
         dtype=float,
     )
-    expected_b = np.array([1, 0, 0, 0, 0, 0, 0, 0, 0, h, -h, 0, 1, 0], dtype=float)
+    expected_b = np.array([1, 0, 0, 0, 0, 0, h, -h, 0, 1, 0], dtype=float)
     a_ub, b_ub, bounds = build_common_constraints(discretize(UNIFORM, 2), n=2)
-    assert a_ub.shape == (14, 7)
-    np.testing.assert_array_equal(a_ub, expected_a)
+    assert a_ub.shape == (11, 7)
+    np.testing.assert_array_equal(a_ub.toarray(), expected_a)
     np.testing.assert_array_equal(b_ub, expected_b)
-    assert bounds == [(0.0, 1.0)] * 3 + [(None, None)] * 3 + [(0.0, 1.0)]
-    # the grid's own rows are the first 3H+3
-    np.testing.assert_array_equal(_arrays(2, h), expected_a[:9])
+    # the lower sandwich L_i <= p_i is the bound w_i >= 0
+    assert bounds == [(0.0, 1.0)] * 3 + [(0.0, None)] * 3 + [(0.0, 1.0)]
+    # the grid's own rows are the first 2H+2
+    np.testing.assert_array_equal(_arrays(2, h).toarray(), expected_a[:6])
 
 
 def test_h1_variables_and_p0_pinned():
     a_ub, b_ub, bounds = build_common_constraints(discretize(UNIFORM, 1), n=3)
-    # t_0 t_1 p_0 p_1 C
-    assert a_ub.shape == (11, 5) and b_ub.shape == (11,) and len(bounds) == 5
-    # both i=0 sandwich rows degenerate to 0 <= p_0 <= 0
+    # t_0 t_1 w_0 w_1 C
+    assert a_ub.shape == (9, 5) and b_ub.shape == (9,) and len(bounds) == 5
+    # p_0 = L_0 + w_0 = w_0, and the i=0 band row with the bound w_0 >= 0
+    # leaves 0 <= p_0 <= 0
     for sign in (-1.0, 1.0):
         c = np.zeros(5)
         c[2] = sign
@@ -78,34 +86,68 @@ def test_h1_variables_and_p0_pinned():
 @pytest.mark.parametrize("H", [1, 2, 5, 40])
 def test_constraint_count_breakdown(H):
     a_ub, b_ub, _ = build_common_constraints(discretize(UNIFORM, H), n=2)
-    assert a_ub.shape == (3 * H + 8, 2 * H + 3) and b_ub.shape == (3 * H + 8,)
-    t, p, c = a_ub[:, : H + 1], a_ub[:, H + 1 : 2 * H + 2], a_ub[:, -1]
-    chain, sandwich = slice(0, H + 1), slice(H + 1, 3 * H + 3)
-    budget, alloc, c_rows = slice(3 * H + 3, 3 * H + 5), 3 * H + 5, slice(3 * H + 6, None)
+    assert a_ub.shape == (2 * H + 7, 2 * H + 3) and b_ub.shape == (2 * H + 7,)
+    a = a_ub.toarray()
+    t, w, c = a[:, : H + 1], a[:, H + 1 : 2 * H + 2], a[:, -1]
+    chain, band = slice(0, H + 1), slice(H + 1, 2 * H + 2)
+    budget, alloc, c_rows = slice(2 * H + 2, 2 * H + 4), 2 * H + 4, slice(2 * H + 5, None)
     # H+1 chain rows on t alone
-    assert t[chain].any(axis=1).all() and not p[chain].any() and not c[chain].any()
-    # H+1 lower/upper sandwich pairs, pair i pinning p_i from below and above
-    pins = np.repeat(np.eye(H + 1), 2, axis=0) * np.tile([-1.0, 1.0], H + 1)[:, None]
-    np.testing.assert_array_equal(p[sandwich], pins)
-    assert not c[sandwich].any()
-    # two budget rows on p and C, one allocation row on t and C, two rows on C
-    assert not t[budget].any() and p[budget].any(axis=1).all() and c[budget].all()
-    assert t[alloc].any() and not p[alloc].any() and c[alloc] == 1.0
-    assert not a_ub[c_rows, :-1].any()
+    assert t[chain].any(axis=1).all() and not w[chain].any() and not c[chain].any()
+    # H+1 band rows, row i being w_i + delta*t_i - delta*t_0 <= 0: three
+    # nonzeros, except at i = 0, where the t terms cancel to w_0 <= 0
+    np.testing.assert_array_equal(w[band], np.eye(H + 1))
+    assert not c[band].any()
+    np.testing.assert_array_equal(np.diff(a_ub.indptr)[band], [1] + [3] * H)
+    delta = 1.0 / H
+    np.testing.assert_array_equal(t[band][1:, 0], np.full(H, -delta))
+    np.testing.assert_array_equal(t[band][1:, 1:], np.eye(H) * delta)
+    # two budget rows on t, w and C (the O(H) rows), one allocation row on t
+    # and C, two rows on C
+    assert w[budget].any(axis=1).all() and c[budget].all()
+    assert t[alloc].any() and not w[alloc].any() and c[alloc] == 1.0
+    assert not a[c_rows, :-1].any()
     np.testing.assert_array_equal(c[c_rows], [1.0, -1.0])
+    # O(H) nonzeros in all: the chain (2H+1), the band (3H+1), the budget rows
+    # (at most 2H+1 each), the allocation row (H+1) and the C rows (2)
+    assert a_ub.nnz <= 10 * H + 7
+
+
+@pytest.mark.parametrize("H", [1, 2, 7, 30])
+@pytest.mark.parametrize("label", ["U(0,1)", "N(0.5,0.2)"])
+def test_slack_rows_are_the_dense_rows_under_substitution(label, H):
+    # With p_i = L_i(t) + w_i, every row of the dense p-form oracle is a row
+    # of the slack form or a bound: chain, budget, allocation and C rows keep
+    # their values, upper sandwich row i (p_i - U_i) equals band row i
+    # (w_i - delta*(t_0 - t_i)), and lower sandwich row i (L_i - p_i) is -w_i,
+    # so the two systems have the same feasible (t, C).
+    seg = discretize(DistributionSpec.parse(label), H)
+    a_ub, b_ub, _ = build_common_constraints(seg, n=3)
+    dense_a, dense_b, _ = dense_common_constraints(seg, n=3)
+    rng = np.random.default_rng(H)
+    t, w, c = rng.random(H + 1), rng.random(H + 1), rng.random()
+    z = np.arange(H + 1)
+    lower = seg.delta * (np.cumsum(t) - t[0]) - z * seg.delta * t
+    slack = a_ub @ np.concatenate([t, w, [c]]) - b_ub
+    dense = dense_a @ np.concatenate([t, lower + w, [c]]) - dense_b
+    sandwich = dense[H + 1 : 3 * H + 3].reshape(H + 1, 2)
+    np.testing.assert_allclose(sandwich[:, 0], -w, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(slack[H + 1 : 2 * H + 2], sandwich[:, 1], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(slack[: H + 1], dense[: H + 1], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(slack[2 * H + 2 :], dense[3 * H + 3 :], rtol=0, atol=1e-14)
 
 
 def test_bounds_present_for_every_variable():
     _, _, bounds = build_common_constraints(discretize(UNIFORM, 3), n=1)
     assert bounds[:4] == [(0.0, 1.0)] * 4
-    assert bounds[4:8] == [(None, None)] * 4
+    assert bounds[4:8] == [(0.0, None)] * 4
     assert bounds[8] == (0.0, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
 @pytest.mark.parametrize("label", ["U(0,1)", "N(0.5,0.2)"])
 def test_unsold_point_always_feasible(label, n):
-    # t_i = 1, p_i = 0, C = 1 satisfies every row of every model
+    # t_i = 1, w_i = 0, C = 1 satisfies every row of every model; it is the
+    # point p_i = L_i(1) = i*delta - i*delta = 0 of the payment form
     spec = DistributionSpec.parse(label)
     a_ub, b_ub, _ = build_common_constraints(discretize(spec, 8), n)
     x = np.concatenate([np.ones(9), np.zeros(9), [1.0]])
@@ -220,6 +262,23 @@ def test_pruned_max_bound_matches_exhaustive_scan(H):
                 assert solves < points, cell
 
 
+@pytest.mark.parametrize("H", [20, 50, 100, 200])
+def test_bounds_match_the_dense_oracle_on_the_grid(H):
+    # The slack form is an exact change of variables, so both bounds equal
+    # the dense p-form LP: the sum bound's one LP, and the truncation LP at
+    # the point where the max bound is attained.
+    for label in ("U(0,1)", "N(0.5,0.2)", "N(0.5,0.4)"):
+        spec = DistributionSpec.parse(label)
+        for n in (1, 2, 5, 10):
+            total = sum_delay_lower_bound(spec, n, H)
+            value, point, _ = _max_delay_search(spec, n, H)
+            dense_total = dense_sum_bound(spec, n, H)
+            dense_value = dense_truncation_optima(spec, n, H, [point])[point]
+            cell = (label, n, total, dense_total, value, dense_value, point)
+            assert abs(total - dense_total) <= 1e-9, cell
+            assert abs(value - dense_value) <= 1e-9, cell
+
+
 _uniform_priors = st.floats(0.3, 1.0).map(lambda b: DistributionSpec("uniform", hi=b))
 _normal_priors = st.builds(
     lambda mu, sigma: DistributionSpec("truncnorm", mu=mu, sigma=sigma),
@@ -240,6 +299,8 @@ def test_pruned_max_bound_matches_exhaustive_scan_random_priors(spec, n, H):
     oracle, points = exhaustive_max_delay_bound(spec, n, H)
     assert abs(value - oracle) <= FEASIBILITY_TOL
     assert 1 <= point <= H and 1 <= solves <= points
+    # and the sum bound against the dense p-form oracle
+    assert abs(sum_delay_lower_bound(spec, n, H) - dense_sum_bound(spec, n, H)) <= FEASIBILITY_TOL
 
 
 # ------------------------------------------- mechanism feasibility, by sampling
