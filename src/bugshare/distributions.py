@@ -102,15 +102,19 @@ def cdf(spec: DistributionSpec, x):
     return float(out) if np.isscalar(x) else out
 
 
-def draw(spec: DistributionSpec, shape, rng: np.random.Generator) -> np.ndarray:
+def draw(
+    spec: DistributionSpec, shape, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """Inverse-CDF draws from an existing generator stream.
 
-    Every step works in place on the one array of uniforms.  Each value is
-    the same IEEE result as ``lo + u * (hi - lo)`` or
+    Every step works in place on the one array of uniforms: ``out`` when
+    given (a C-contiguous float64 array of ``shape``, which is returned),
+    else a new one.  The stream is read in the same order either way.  Each
+    value is the same IEEE result as ``lo + u * (hi - lo)`` or
     ``clip(mu + sigma * ndtri(a + u * (b - a)), lo, hi)``, since ``+`` and
     ``*`` are commutative.
     """
-    x = rng.random(shape)
+    x = rng.random(shape, out=out)
     if spec.kind == "uniform":
         x *= spec.hi - spec.lo
         x += spec.lo

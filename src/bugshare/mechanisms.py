@@ -38,7 +38,10 @@ The arrays are agent-major: an (n, rows) array holds one profile per
 column, so each reduction over the agents is an elementwise pass over n
 contiguous rows instead of a short loop per profile.  ``_group_rows`` sorts
 each profile once, with the right side's values negated, and reads both
-sides' descending orders off that one sort.
+sides' descending orders off that one sort.  The row-wise helpers write
+their (n, rows) scratch into a ``_Workspace`` when given one, so that a
+Monte Carlo estimate allocates it once for all its chunks, and into new
+arrays otherwise.
 
 The column sort (``_sort_columns``) is a compare-exchange network, built
 once per n: each comparator is an elementwise min and max of two agent
@@ -265,34 +268,73 @@ def gcsod_sample(profile: TypeProfile, seed: int) -> Outcome:
     return _realized(profile, (rng.random(len(profile)) < 0.5)[:, None])[0]
 
 
-def _prices(ks: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Named scratch arrays that array-form calls write instead of allocating.
+
+    A Monte Carlo estimate runs one kernel on chunk after chunk of the same
+    size.  Fresh (n, rows) temporaries per chunk are handed back to the OS
+    when freed and faulted in again on the next chunk; one workspace per
+    estimate allocates each array once.
+
+    ``get(key, shape, dtype)`` returns a C-contiguous view of the first
+    prod(shape) elements of the flat buffer named ``key``, and grows the
+    buffer when it is too small; so a short last chunk sees only its own
+    rows.  Each key has one dtype.  A function writes a key only once no
+    caller still needs what it holds, so an array that is read only before
+    the key's next write may borrow it: the Monte Carlo coin uniforms and
+    the group rule's agent-major values borrow "products".  No array that a
+    kernel returns lives here, so its results outlast the next call.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def get(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[key] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _scratch(work: _Workspace | None, key: str, shape, dtype=np.float64) -> np.ndarray | None:
+    """``work``'s array ``key`` as a ufunc's ``out``; without a workspace None, which allocates."""
+    return None if work is None else work.get(key, shape, dtype)
+
+
+def _prices(ks: np.ndarray, deadlines: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
     """Prices 1/(k*deadline) less their qualify slack, k and deadline broadcast.
 
     ``ks`` is the column of k = 1..n or an array of per-cell ranks.  A zero
     deadline divides by zero and leaves NaN prices that no value meets;
     callers that allow one silence both warnings.
     """
-    # every step after the product works in place, on one (n, rows) array
-    # and one slack array
-    prices = ks * deadlines
+    # every step after the product works in place, on one prices array and
+    # one slack array.  The prices share the "products" buffer with
+    # ``_deadline_rows``, whose products are reduced before anything is priced
+    out = None if work is None else work.get("products", np.broadcast(ks, deadlines).shape)
+    prices = np.multiply(ks, deadlines, out=out)
     np.divide(1.0, prices, out=prices)
-    slack = np.maximum(prices, 1.0)
+    slack = np.maximum(prices, 1.0, out=_scratch(work, "slack", prices.shape))
     slack *= QUALIFY_TOL
     prices -= slack
     return prices
 
 
-def _largest_k(meets: np.ndarray) -> np.ndarray:
+def _largest_k(meets: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
     """Per column, the largest k whose k-th value meets its price, else 0.
 
     k has the smallest unsigned type that holds n, so the (n, rows) product
     is a fraction of the size of an int64 one.
     """
     n = meets.shape[0]
-    return (meets * np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None]).max(axis=0)
+    ks = np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None]
+    return np.multiply(meets, ks, out=_scratch(work, "ranks", meets.shape, ks.dtype)).max(axis=0)
 
 
-def _kstar_rows(sorted_desc: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
+def _kstar_rows(
+    sorted_desc: np.ndarray, deadlines: np.ndarray, work: _Workspace | None = None
+) -> np.ndarray:
     """Row-wise ``_max_k``: largest k with k values >= 1/(k*deadline), else 0.
 
     ``sorted_desc`` is agent-major, (n, rows), each column sorted in
@@ -300,17 +342,24 @@ def _kstar_rows(sorted_desc: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
     all of them.
     """
     ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
-    return _largest_k(sorted_desc >= _prices(ks, deadlines))
+    prices = _prices(ks, deadlines, work)
+    meets = np.greater_equal(
+        sorted_desc, prices, out=_scratch(work, "meets", sorted_desc.shape, bool)
+    )
+    return _largest_k(meets, work)
 
 
-def _deadline_rows(sorted_desc: np.ndarray) -> np.ndarray:
+def _deadline_rows(sorted_desc: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
     """Row-wise ``optimal_deadline`` of agent-major sorted columns, capped at 1.
 
     min over k of 1/(k*v_(k)) is 1/max(k*v_(k)), bit for bit, because the
     rounded reciprocal is monotone; capping the maximum at 1 caps the deadline.
     """
     ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
-    return 1.0 / np.maximum((ks * sorted_desc).max(axis=0), 1.0)
+    products = np.multiply(ks, sorted_desc, out=_scratch(work, "products", sorted_desc.shape))
+    top = products.max(axis=0)
+    np.maximum(top, 1.0, out=top)
+    return np.divide(1.0, top, out=top)
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,7 +385,7 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _sort_columns(a: np.ndarray) -> np.ndarray:
+def _sort_columns(a: np.ndarray, low: np.ndarray | None = None) -> np.ndarray:
     """Sort each column of the agent-major (n, rows) block ``a`` ascending, in place.
 
     This walks a compare-exchange network: each comparator (i, j) is an
@@ -344,9 +393,11 @@ def _sort_columns(a: np.ndarray) -> np.ndarray:
     rows of a C-contiguous block, where ``np.sort`` along axis 0 makes one
     tiny sort per column.  Equal values come back in any order, and a
     column's 0.0 and -0.0 may trade signs; no caller tells them apart.
+    ``low`` is a scratch row of ``a``'s row shape, allocated when absent.
     Returns ``a``.
     """
-    low = np.empty_like(a[0])
+    if low is None:
+        low = np.empty_like(a[0])
     for i, j in _sorting_network(a.shape[0]):
         np.minimum(a[i], a[j], out=low)
         np.maximum(a[i], a[j], out=a[j])
@@ -354,7 +405,7 @@ def _sort_columns(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _group_rows(values: np.ndarray, left: np.ndarray):
+def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace | None = None):
     """Row-wise decision of ``gcsod_allocate`` under the coin flips ``left``.
 
     Both arrays are agent-major, C-contiguous (n, rows) blocks with one
@@ -362,7 +413,10 @@ def _group_rows(values: np.ndarray, left: np.ndarray):
     contiguous rows.  Returns ``(left_wins, sold, own, extended, k_star)``:
     which side wins (exact ties favour the left), whether the bug sells, the
     winner's own deadline, the loser's deadline under which the winner
-    shares, and the winner's sharing-set size.
+    shares, and the winner's sharing-set size.  The (n, rows) scratch comes
+    from ``work`` when given.  Neither input is written, except that a
+    caller may hold ``values`` in ``work``'s "products": it is read only
+    before that buffer's first write.
 
     One sort serves both sides.  Right members are negated (multiplied by -1,
     which is exact), so each ascending column holds the right side first,
@@ -374,24 +428,35 @@ def _group_rows(values: np.ndarray, left: np.ndarray):
     two deadlines tie does k* decide the winner, so it is computed there
     alone.
     """
-    ks = np.arange(1, values.shape[0] + 1)[:, None]
-    s = _sort_columns(values * (2.0 * left - 1.0))
+    shape = values.shape
+    ks = np.arange(1, shape[0] + 1)[:, None]
+    # (2 * left - 1) * values, the same bits as values * (2 * left - 1)
+    s = np.multiply(left, 2.0, out=_scratch(work, "signed", shape))
+    s -= 1.0
+    s *= values
+    # without a workspace the sort is called as ``_sort_columns(a)``, the
+    # form that the tests swap for ``np.sort``
+    s = _sort_columns(s) if work is None else _sort_columns(s, work.get("low", shape[1:]))
     l_sorted = s[::-1]
-    r_sorted = -s
-    dl = _deadline_rows(l_sorted)
-    dr = _deadline_rows(r_sorted)
+    r_sorted = np.negative(s, out=_scratch(work, "negated", shape))
+    dl = _deadline_rows(l_sorted, work)
+    dr = _deadline_rows(r_sorted, work)
     left_wins = dl < dr
     sold = dl != dr
     tie = np.flatnonzero(~sold)
-    prices = _prices(ks, dl[tie])
+    prices = _prices(ks, dl[tie], work)
     left_funds = (l_sorted.take(tie, axis=1) >= prices).any(axis=0)
     left_wins[tie] = left_funds
     sold[tie] = left_funds | (r_sorted.take(tie, axis=1) >= prices).any(axis=0)
     own = np.where(left_wins, dl, dr)
     extended = np.where(left_wins, dr, dl)
-    prices = _prices(ks, extended)
-    meets = ((l_sorted >= prices) & left_wins) | ((r_sorted >= prices) & ~left_wins)
-    return left_wins, sold, own, extended, _largest_k(meets)
+    prices = _prices(ks, extended, work)
+    meets = np.greater_equal(l_sorted, prices, out=_scratch(work, "meets", shape, bool))
+    meets &= left_wins
+    other = np.greater_equal(r_sorted, prices, out=_scratch(work, "other", shape, bool))
+    other &= ~left_wins
+    meets |= other
+    return left_wins, sold, own, extended, _largest_k(meets, work)
 
 
 @functools.lru_cache(maxsize=ENUMERATION_CAP)

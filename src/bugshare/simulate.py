@@ -1,11 +1,21 @@
 """Monte-Carlo and exact-expectation estimation of mechanism delays under priors.
 
 Profiles are sampled in chunks of ``_CHUNK_ROWS`` from a seeded stream.  At
-n = 10 a chunk's (n, rows) float temporaries are 1.3 MB each, so a kernel's
+n = 10 a chunk's (n, rows) float arrays are 1.3 MB each, so a kernel's
 working set stays in a 2-4 MB per-core cache.  The value and coin streams
 are read in the same order whatever the chunk size, so the draws do not
 depend on it.  ``draw`` maps the chunk's uniforms to values in place, with
 no temporary per arithmetic step.
+
+One ``estimate`` call holds one workspace (``mechanisms._Workspace``) for
+all its chunks: the draws, the coin flips, the agent-major copies and the
+kernels' (n, rows) scratch are allocated once and rewritten by every chunk.
+Allocated afresh per chunk, a dozen such arrays per group-rule chunk were
+handed back to the OS when freed and faulted in again on the next chunk,
+about 1.5 GB of fresh pages per benchmark pass.  The last, shorter chunk
+works on views of the first rows x n elements of each buffer, so it sees
+none of the rows of the chunk before it.  The kernels' results are new
+arrays, and a kernel called without a workspace builds its own.
 
 The kernels sort each chunk once, agent-major, with
 ``mechanisms._sort_columns``: a compare-exchange network whose comparators
@@ -14,11 +24,11 @@ are elementwise passes over whole agent rows.
 The array form of the allocation rules (row-wise deadline, k* and
 group-rule decision) lives in :mod:`bugshare.mechanisms` next to the scalar
 rules it mirrors.  It works on agent-major (n, rows) arrays, so each
-``batch_*_delays`` kernel takes the sampled (rows, n) block and transposes it
-once; this module only reduces the decisions to the max and sum of the
-allocation times.  The group rule runs either with one sampled coin-flip
-vector per profile (``monte_carlo``) or with the full 2^n grouping
-enumeration per profile (``exact_grouping``).
+``batch_*_delays`` kernel takes the sampled (rows, n) block and copies its
+transpose into the workspace once; this module only reduces the decisions
+to the max and sum of the allocation times.  The group rule runs either
+with one sampled coin-flip vector per profile (``monte_carlo``) or with the
+full 2^n grouping enumeration per profile (``exact_grouping``).
 
 ``reproduce_table`` assembles the benchmark grid: expected max/sum delay of
 the plain and group cost-sharing rules plus the two LP lower bounds, for
@@ -37,6 +47,7 @@ import numpy as np
 from .distributions import DistributionSpec, draw
 from .lowerbound import max_delay_lower_bound, sum_delay_lower_bound
 from .mechanisms import (
+    _Workspace,
     _deadline_rows,
     _group_rows,
     _kstar_rows,
@@ -106,7 +117,7 @@ class TableRow:
 
 
 def _share_delays(
-    sorted_desc: np.ndarray, deadlines: np.ndarray
+    sorted_desc: np.ndarray, deadlines: np.ndarray, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per column of cost sharing on [0, deadline].
 
@@ -116,43 +127,72 @@ def _share_delays(
     deadline, as in ``csd_allocate``.
     """
     n = sorted_desc.shape[0]
-    k_star = _kstar_rows(sorted_desc, deadlines)
+    k_star = _kstar_rows(sorted_desc, deadlines, work)
     return np.where(k_star == n, 0.0, deadlines), (n - k_star) * deadlines
 
 
-def _sorted_desc(values: np.ndarray) -> np.ndarray:
+def _agent_major(rows: np.ndarray, key: str, work: _Workspace, dtype=np.float64) -> np.ndarray:
+    """``work``'s (n, rows) array ``key`` holding a copy of the (rows, n) block ``rows``.
+
+    A plain transpose copy: an arithmetic op forced to C order on the
+    transposed view costs over ten times as much.
+    """
+    block = work.get(key, rows.shape[::-1], dtype)
+    np.copyto(block, rows.T)
+    return block
+
+
+def _sorted_desc(values: np.ndarray, work: _Workspace) -> np.ndarray:
     """Agent-major (n, rows) sorted copy of (rows, n) ``values``, columns descending.
 
-    The copy is sorted ascending and returned as a reversed view.
+    The copy is sorted ascending in ``work`` and returned as a reversed view.
     """
-    return _sort_columns(np.ascontiguousarray(values.T))[::-1]
+    block = _agent_major(values, "values", work)
+    return _sort_columns(block, work.get("low", block.shape[1:]))[::-1]
 
 
-def batch_csd_delays(values: np.ndarray, t_c: float) -> tuple[np.ndarray, np.ndarray]:
-    """(max delay, sum delay) per row under the fixed-deadline rule."""
+def batch_csd_delays(
+    values: np.ndarray, t_c: float, work: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(max delay, sum delay) per row under the fixed-deadline rule.
+
+    Each ``batch_*_delays`` kernel takes its scratch from ``work``, or from a
+    workspace of its own when none is given, and returns new arrays.
+    """
+    work = _Workspace() if work is None else work
     # t_c = 0 prices every group at infinity; the price-scaled slack turns that
     # threshold into NaN, which no value meets, so k* = 0 as in ``_max_k``
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _share_delays(_sorted_desc(values), np.array([t_c]))
+        return _share_delays(_sorted_desc(values, work), np.array([t_c]), work)
 
 
-def batch_cs_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return batch_csd_delays(values, 1.0)
+def batch_cs_delays(
+    values: np.ndarray, work: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    return batch_csd_delays(values, 1.0, work)
 
 
-def batch_csod_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def batch_csod_delays(
+    values: np.ndarray, work: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per row under the optimal-deadline rule."""
-    sorted_desc = _sorted_desc(values)
-    return _share_delays(sorted_desc, _deadline_rows(sorted_desc))
+    work = _Workspace() if work is None else work
+    sorted_desc = _sorted_desc(values, work)
+    return _share_delays(sorted_desc, _deadline_rows(sorted_desc, work), work)
 
 
-def batch_gcsod_delays(values: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def batch_gcsod_delays(
+    values: np.ndarray, left: np.ndarray, work: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per row of the group rule under given coin flips."""
+    work = _Workspace() if work is None else work
     n = values.shape[1]
-    # plain transpose copies: an arithmetic op forced to C order on the
-    # transposed views costs over ten times as much
-    left = np.ascontiguousarray(left.T)
-    left_wins, sold, own, extended, k_star = _group_rows(np.ascontiguousarray(values.T), left)
+    left = _agent_major(left, "left", work, bool)
+    # ``_group_rows`` reads the values only to sign them, before its first
+    # products, so they borrow that buffer
+    left_wins, sold, own, extended, k_star = _group_rows(
+        _agent_major(values, "products", work), left, work
+    )
     n_left = left.sum(axis=0)
     n_win = np.where(left_wins, n_left, n - n_left)
     n_lose = n - n_win
@@ -190,26 +230,30 @@ def estimate(config: SimulationConfig) -> SimulationReport:
     rng_values = np.random.default_rng(value_seed)
     rng_coins = np.random.default_rng(coin_seed)
 
+    work = _Workspace()
     total = np.zeros(2)
     total_sq = np.zeros(2)
     remaining = config.samples
     while remaining > 0:
-        m = min(remaining, _CHUNK_ROWS)
-        values = draw(config.spec, (m, config.n), rng_values)
+        shape = (min(remaining, _CHUNK_ROWS), config.n)
+        values = draw(config.spec, shape, rng_values, out=work.get("draws", shape))
         if config.mechanism == "cs":
-            mx, sm = batch_cs_delays(values)
+            mx, sm = batch_cs_delays(values, work)
         elif config.mechanism == "csd":
-            mx, sm = batch_csd_delays(values, config.t_c)
+            mx, sm = batch_csd_delays(values, config.t_c, work)
         elif config.mechanism == "csod":
-            mx, sm = batch_csod_delays(values)
+            mx, sm = batch_csod_delays(values, work)
         elif config.mode == "exact_grouping":
             mx, sm = _exact_grouping_delays(values)
         else:
-            left = rng_coins.random((m, config.n)) < 0.5
-            mx, sm = batch_gcsod_delays(values, left)
+            # the uniforms are dead once flipped, so they borrow a buffer
+            # that the kernel only writes later
+            coins = rng_coins.random(shape, out=work.get("products", shape))
+            left = np.less(coins, 0.5, out=work.get("flips", shape, bool))
+            mx, sm = batch_gcsod_delays(values, left, work)
         total += (mx.sum(), sm.sum())
         total_sq += ((mx * mx).sum(), (sm * sm).sum())
-        remaining -= m
+        remaining -= shape[0]
 
     count = config.samples
     mean = total / count
@@ -276,20 +320,3 @@ def table_to_csv(records: list[TableRow]) -> str:
 
 def table_to_json(records: list[TableRow]) -> str:
     return json.dumps([asdict(row) for row in records], indent=2)
-
-
-def table_from_csv(text: str) -> list[TableRow]:
-    reader = _csv.DictReader(io.StringIO(text))
-    records = []
-    for entry in reader:
-        records.append(
-            TableRow(
-                distribution=entry["distribution"],
-                n=int(entry["n"]),
-                mechanism=entry["mechanism"],
-                objective=entry["objective"],
-                value=float(entry["value"]),
-                stderr=float(entry["stderr"]) if entry["stderr"] else None,
-            )
-        )
-    return records

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -16,6 +18,7 @@ from bugshare.mechanisms import (
     csd_allocate,
     optimal_deadline,
 )
+from bugshare.simulate import TableRow
 
 # Reference values for the benchmark grid, keyed by (distribution label, n).
 # Columns: (gcsod_max, cs_max, lb_max, gcsod_sum, cs_sum, lb_sum), all
@@ -139,6 +142,21 @@ def random_profiles(rng, count, n_low=2, n_high=8, lo=0.0, hi=1.0):
         n = int(rng.integers(n_low, n_high + 1))
         profiles.append(TypeProfile(tuple(lo + (hi - lo) * rng.random(n))))
     return profiles
+
+
+def table_from_csv(text: str) -> list[TableRow]:
+    """Parse ``simulate.table_to_csv`` output back into records."""
+    return [
+        TableRow(
+            distribution=entry["distribution"],
+            n=int(entry["n"]),
+            mechanism=entry["mechanism"],
+            objective=entry["objective"],
+            value=float(entry["value"]),
+            stderr=float(entry["stderr"]) if entry["stderr"] else None,
+        )
+        for entry in csv.DictReader(io.StringIO(text))
+    ]
 
 
 def lp_grid_oracle(masses, n, step=1e-3):

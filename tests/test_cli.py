@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from bugshare.cli import run
-from bugshare.simulate import table_from_csv
+
+from helpers import table_from_csv
 
 
 def _run_capture(capsys, argv):

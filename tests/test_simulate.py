@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bugshare.distributions import DistributionSpec, cdf
+from bugshare.distributions import DistributionSpec, cdf, draw
 from bugshare.mechanisms import (
     Grouping,
     TypeProfile,
@@ -17,6 +17,7 @@ from bugshare.mechanisms import (
     gcsod_allocate,
     gcsod_expected,
     gcsod_realizations,
+    _Workspace,
 )
 from bugshare.simulate import (
     SimulationConfig,
@@ -28,12 +29,11 @@ from bugshare.simulate import (
     batch_gcsod_delays,
     estimate,
     reproduce_table,
-    table_from_csv,
     table_to_csv,
     table_to_json,
 )
 
-from helpers import TIE_GRID, gcsod_expectation_oracle, gcsod_oracle
+from helpers import TIE_GRID, gcsod_expectation_oracle, gcsod_oracle, table_from_csv
 
 GOLDEN = Path(__file__).parent / "golden" / "table_small.csv"
 UNIFORM = DistributionSpec.parse("U(0,1)")
@@ -289,6 +289,79 @@ def test_estimate_chunk_size_moves_means_only_by_rounding(monkeypatch, mechanism
         "standard_error_sum",
     ):
         assert getattr(chunked, field) == pytest.approx(getattr(full, field), abs=1e-12)
+
+
+def _fresh_arrays_estimate(config):
+    """``estimate`` as a plain loop: ``draw`` and the kernels on new arrays per chunk."""
+    import bugshare.simulate as sim
+
+    value_seed, coin_seed = np.random.SeedSequence(config.seed).spawn(2)
+    rng_values = np.random.default_rng(value_seed)
+    rng_coins = np.random.default_rng(coin_seed)
+    total = np.zeros(2)
+    total_sq = np.zeros(2)
+    remaining = config.samples
+    while remaining > 0:
+        m = min(remaining, sim._CHUNK_ROWS)
+        values = draw(config.spec, (m, config.n), rng_values)
+        if config.mechanism == "cs":
+            mx, sm = batch_cs_delays(values)
+        elif config.mechanism == "csd":
+            mx, sm = batch_csd_delays(values, config.t_c)
+        elif config.mechanism == "csod":
+            mx, sm = batch_csod_delays(values)
+        else:
+            mx, sm = batch_gcsod_delays(values, rng_coins.random((m, config.n)) < 0.5)
+        total += (mx.sum(), sm.sum())
+        total_sq += ((mx * mx).sum(), (sm * sm).sum())
+        remaining -= m
+    count = config.samples
+    mean = total / count
+    stderr = np.sqrt(np.maximum(total_sq - count * mean**2, 0.0) / (count - 1) / count)
+    return SimulationReport(
+        float(mean[0]), float(mean[1]), float(stderr[0]), float(stderr[1]), count, config.seed
+    )
+
+
+# With 700-row chunks, 2,100 samples end on a chunk boundary and 2,357 end on
+# a 257-row chunk, which must see none of the rows that the workspace held
+# for the chunk before it.
+@pytest.mark.parametrize("samples", [2_100, 2_357])
+@pytest.mark.parametrize(
+    "mechanism, t_c", [("cs", None), ("csd", 0.35), ("csod", None), ("gcsod", None)]
+)
+def test_estimate_workspace_is_invisible(monkeypatch, mechanism, t_c, samples):
+    import bugshare.simulate as sim
+
+    monkeypatch.setattr(sim, "_CHUNK_ROWS", 700)
+    spec = DistributionSpec.parse("N(0.5,0.4)")
+    config = SimulationConfig(mechanism, spec, n=5, samples=samples, seed=31, t_c=t_c)
+    assert estimate(config) == _fresh_arrays_estimate(config)
+
+
+def test_kernels_sharing_a_workspace_keep_earlier_results_and_inputs():
+    rng = np.random.default_rng(41)
+    first = (_random_batch(rng, 300, 6), rng.random((300, 6)) < 0.5)
+    second = (_random_batch(rng, 200, 6), rng.random((200, 6)) < 0.5)
+    kept_inputs = [a.copy() for a in first + second]
+    kernels = (
+        lambda v, g, *work: batch_cs_delays(v, *work),
+        lambda v, g, *work: batch_csd_delays(v, 0.35, *work),
+        lambda v, g, *work: batch_csod_delays(v, *work),
+        batch_gcsod_delays,
+    )
+    for kernel in kernels:
+        work = _Workspace()
+        got_first = kernel(*first, work)
+        kept_first = [a.copy() for a in got_first]
+        got_second = kernel(*second, work)
+        for got, kept, fresh in zip(got_first, kept_first, kernel(*first)):
+            assert np.array_equal(got, kept)
+            assert np.array_equal(got, fresh)
+        for got, fresh in zip(got_second, kernel(*second)):
+            assert np.array_equal(got, fresh)
+        for a, kept in zip(first + second, kept_inputs):
+            assert np.array_equal(a, kept)
 
 
 def test_cs_uniform_two_agents_analytic_anchor():
