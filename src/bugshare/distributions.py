@@ -7,6 +7,12 @@ CDF, seeded inverse-CDF sampling, and the H-segment mass vector consumed by
 the linear programs.  Specs parse from the compact notation used in the
 experiment tables: ``U(0,1)``, ``N(0.5,0.2)`` (normals are always conditioned
 on [0,1]).
+
+The normal's CDF and its inverse are ``scipy.special.ndtr`` and ``ndtri``.
+They are imported on first use, in the truncated-normal branches, because
+``scipy.special`` takes longer to import than numpy and everything else in
+the package together; a uniform prior, and every rule and audit, never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 _SPEC_RE = re.compile(r"^\s*([UN])\s*\(\s*([^,\s]+)\s*,\s*([^,\s)]+)\s*\)\s*$")
 
@@ -65,6 +70,8 @@ class DistributionSpec:
         return f"N({self.mu:g},{self.sigma:g})"
 
     def _phi_bounds(self) -> tuple[float, float]:
+        from scipy.special import ndtr
+
         a = float(ndtr((self.lo - self.mu) / self.sigma))
         b = float(ndtr((self.hi - self.mu) / self.sigma))
         return a, b
@@ -97,6 +104,8 @@ def cdf(spec: DistributionSpec, x):
     if spec.kind == "uniform":
         out = (arr - spec.lo) / (spec.hi - spec.lo)
     else:
+        from scipy.special import ndtr
+
         a, b = spec._phi_bounds()
         out = (ndtr((arr - spec.mu) / spec.sigma) - a) / (b - a)
     return float(out) if np.isscalar(x) else out
@@ -119,6 +128,8 @@ def draw(
         x *= spec.hi - spec.lo
         x += spec.lo
         return x
+    from scipy.special import ndtri
+
     a, b = spec._phi_bounds()
     x *= b - a
     x += a

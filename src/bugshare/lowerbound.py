@@ -35,15 +35,24 @@ and -C <= 0.  The chain and band depend only on the grid (``_arrays``); the
 last five rows carry the prior's masses and n (``build_common_constraints``).
 Both bounds hand the system to scipy's HiGHS solver.  Their objectives weigh
 the t_i alone, so the substitution leaves them unchanged.
+
+scipy is imported on first use: ``scipy.sparse`` where the system is built
+(``_arrays``, ``build_common_constraints``) and ``scipy.optimize`` in
+``linprog``, this module's one entry to the solver, on its first call.
+Together they take longer to import than numpy, and nothing else in the
+package needs them, so ``import bugshare`` loads numpy alone.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .distributions import DistributionSpec, SegmentedDistribution, discretize
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 FEASIBILITY_TOL = 1e-7
 
@@ -56,6 +65,8 @@ def _arrays(H: int, delta: float) -> sparse.csr_array:
     <= 0, the upper payment sandwich in slack form; for i = 0 its t terms
     cancel, leaving w_0 <= 0.
     """
+    from scipy import sparse
+
     i = np.arange(H + 1)
     j = i[1:]
     rows = np.concatenate([i, j, H + 1 + i, H + 1 + j, H + 1 + j])
@@ -80,6 +91,8 @@ def build_common_constraints(
     by delta * (sum_{z>=y} a_z - y*a_y).  The variable bounds are [0, 1] for
     the t_i and C and [0, inf) for the w_i.
     """
+    from scipy import sparse
+
     if n < 1:
         raise ValueError("n must be at least 1")
     H, delta = seg.H, seg.delta
@@ -99,6 +112,17 @@ def build_common_constraints(
     b_ub[-5:] = (1.0 / n, -1.0 / n, 0.0, 1.0, 0.0)
     bounds = [(0.0, 1.0)] * (H + 1) + [(0.0, None)] * (H + 1) + [(0.0, 1.0)]
     return a_ub, b_ub, bounds
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call; the one solver entry.
+
+    Every argument passes through unchanged, so a wrapper of this name (the
+    benchmark's tracer) sees each solve's ``A_ub`` and result.
+    """
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def _solve(c, a_ub, b_ub, bounds):

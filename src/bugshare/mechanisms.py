@@ -128,11 +128,12 @@ class Outcome:
         for t in times:
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"allocation times must lie in [0, 1], got {t}")
+        # each check is written so that NaN fails it
         for p in payments:
-            if p < 0.0:
+            if not p >= 0.0:
                 raise ValueError(f"payments must be non-negative, got {p}")
         if self.sold:
-            if abs(sum(payments) - 1.0) > BUDGET_TOL:
+            if not abs(sum(payments) - 1.0) <= BUDGET_TOL:
                 raise ValueError("sold outcomes must collect payments summing to 1")
         elif any(p != 0.0 for p in payments):
             raise ValueError("unsold outcomes must not collect payments")
@@ -424,9 +425,14 @@ def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace | None = 
     left side in descending order; negated, the right side.  Either way the
     other side's members follow as values <= 0, which never meet a positive
     price and never lift k*v_(k) to the cap of 1, so each side's deadline and
-    k* are those of its own members, as in the scalar rule.  Only where the
-    two deadlines tie does k* decide the winner, so it is computed there
-    alone.
+    k* are those of its own members, as in the scalar rule.
+
+    The winner's own deadline is the smaller of the two and the extended one
+    the larger, exactly, since at a tie both are the same number.  So the
+    tied columns are priced at their common deadline by the k* pass itself,
+    and its masks of the members that meet their prices also decide ties: the
+    left side wins a tie when one of its members meets its price, and a tie
+    sells when either side does.
     """
     shape = values.shape
     ks = np.arange(1, shape[0] + 1)[:, None]
@@ -441,19 +447,16 @@ def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace | None = 
     r_sorted = np.negative(s, out=_scratch(work, "negated", shape))
     dl = _deadline_rows(l_sorted, work)
     dr = _deadline_rows(r_sorted, work)
-    left_wins = dl < dr
-    sold = dl != dr
-    tie = np.flatnonzero(~sold)
-    prices = _prices(ks, dl[tie], work)
-    left_funds = (l_sorted.take(tie, axis=1) >= prices).any(axis=0)
-    left_wins[tie] = left_funds
-    sold[tie] = left_funds | (r_sorted.take(tie, axis=1) >= prices).any(axis=0)
-    own = np.where(left_wins, dl, dr)
-    extended = np.where(left_wins, dr, dl)
+    own = np.minimum(dl, dr)
+    extended = np.maximum(dl, dr)
     prices = _prices(ks, extended, work)
     meets = np.greater_equal(l_sorted, prices, out=_scratch(work, "meets", shape, bool))
-    meets &= left_wins
     other = np.greater_equal(r_sorted, prices, out=_scratch(work, "other", shape, bool))
+    tie = dl == dr
+    left_funds = meets.any(axis=0)
+    left_wins = (dl < dr) | (tie & left_funds)
+    sold = ~tie | left_funds | other.any(axis=0)
+    meets &= left_wins
     other &= ~left_wins
     meets |= other
     return left_wins, sold, own, extended, _largest_k(meets, work)
@@ -502,28 +505,24 @@ def _sorted_table(sorted_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The right side of column c is the left side of column 2^n - 1 - c, so
     the right deadlines are the left ones reversed.  The winner's own
     deadline is the smaller of the two and its extended deadline the larger,
-    exactly, since at a tie both are the same number; only the tied columns
-    need ``_group_rows``' tie rule.  k* is the largest rank of a winner that
-    meets its price, and the payers are the winners of rank at most k*: k*
-    never splits a tie of values, since the tied value past it would qualify
-    k* + 1.
+    and ties are decided by the masks of the k* pass, as in ``_group_rows``.
+    k* is the largest rank of a winner that meets its price, and the payers
+    are the winners of rank at most k*: k* never splits a tie of values,
+    since the tied value past it would qualify k* + 1.
     """
     left, rank, left_rank = _sorted_groupings(sorted_desc.shape[0])
     v = sorted_desc[:, None]
     dl = 1.0 / np.maximum((left_rank * v).max(axis=0), 1.0)
     dr = dl[::-1]
-    left_wins = dl < dr
-    sold = dl != dr
-    tie = np.flatnonzero(~sold)
-    tie_left = left[:, tie]
-    meets = v >= _prices(rank[:, tie], dl[tie])
-    left_wins[tie] = (meets & tie_left).any(axis=0)
-    sold[tie] = meets.any(axis=0)
     own = np.minimum(dl, dr)
     extended = np.maximum(dl, dr)
+    meets = v >= _prices(rank, extended)
+    tie = dl == dr
+    left_wins = (dl < dr) | (tie & (meets & left).any(axis=0))
+    sold = ~tie | meets.any(axis=0)
 
     member = left == left_wins
-    k_star = (rank * (member & (v >= _prices(rank, extended)))).max(axis=0)
+    k_star = (rank * (member & meets)).max(axis=0)
     payer = member & (rank <= k_star)
     # an unsold column has k* = 0 and everyone waits until 1
     times = np.where(member, np.where(sold, extended, 1.0), np.where(sold, own, 1.0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bugshare import lowerbound
 from bugshare.distributions import DistributionSpec, discretize
 from bugshare.lowerbound import (
     FEASIBILITY_TOL,
@@ -185,6 +186,28 @@ def test_solve_detects_unbounded():
     # min x subject to x <= 1 only
     with pytest.raises(RuntimeError, match="status 3"):
         _solve([1.0], [[1.0]], [1.0], [(None, None)])
+
+
+def test_every_solve_calls_the_module_linprog(monkeypatch):
+    # The benchmark's tracer counts solves, iterations and nonzeros by
+    # wrapping ``bugshare.lowerbound.linprog``; a solve that bypassed it
+    # would silently zero those metrics.
+    constraints = []
+    real = lowerbound.linprog
+
+    def counting(*args, **kwargs):
+        constraints.append(kwargs["A_ub"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lowerbound, "linprog", counting)
+    for label, n in (("U(0,1)", 1), ("U(0,1)", 5), ("N(0.5,0.2)", 10)):
+        constraints.clear()
+        _, _, solves = _max_delay_search(DistributionSpec.parse(label), n, 50)
+        assert solves == len(constraints) >= 1, (label, n)
+    constraints.clear()
+    sum_delay_lower_bound(UNIFORM, 5, 50)
+    assert len(constraints) == 1
+    assert constraints[0].nnz > 0
 
 
 # ---------------------------------------------------------------- the bounds

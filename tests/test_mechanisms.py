@@ -77,6 +77,11 @@ def test_outcome_invariants_enforced():
         Outcome((0.0,), (0.7,), sold=True)  # payments must total 1 when sold
     with pytest.raises(ValueError):
         Outcome((1.0,), (0.2,), sold=False)  # no payments when unsold
+    nan = float("nan")
+    with pytest.raises(ValueError, match="non-negative"):
+        Outcome((0.0,), (nan,), sold=True)  # NaN is no payment, nor does it total 1
+    with pytest.raises(ValueError, match="non-negative"):
+        Outcome((0.0, 0.0), (nan, 1.0), sold=True)
 
 
 def test_grouping_labels_validated():
