@@ -5,8 +5,9 @@ Subcommands: ``allocate`` (run one mechanism on one profile), ``audit``
 table and its bound verdict), ``lowerbound`` (one LP bound), ``simulate``
 (expected delays under a prior) and ``table`` (the full benchmark grid).
 
-Exit codes: 0 on success, 1 on usage errors, 2 when an audit found
-violations (so CI can assert that the optimal-deadline rule is gameable).
+Exit codes: 0 on success, 1 on usage errors and on an LP bound the solver
+could not compute, 2 when an audit found violations (so CI can assert that
+the optimal-deadline rule is gameable).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from .distributions import DistributionSpec
-from .lowerbound import _max_delay_search, sum_delay_lower_bound
+from .lowerbound import SolverError, _max_delay_search, sum_delay_lower_bound
 from .mechanisms import (
     Grouping,
     TypeProfile,
@@ -265,7 +266,7 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,10 @@ i = 0 row pins w_0 = 0), the two budget rows, the allocation row, and C <= 1
 and -C <= 0.  The chain and band depend only on the grid (``_arrays``); the
 last five rows carry the prior's masses and n (``build_common_constraints``).
 Both bounds hand the system to scipy's HiGHS solver.  Their objectives weigh
-the t_i alone, so the substitution leaves them unchanged.
+the t_i alone, so the substitution leaves them unchanged.  HiGHS runs with its
+presolve off: at H = 100 a system has 207 rows and about 1,000 nonzeros, and on
+systems this small presolve costs more than it saves (the benchmark's LP pass
+took about a sixth less time without it, with equal bounds).
 
 scipy is imported on first use: ``scipy.sparse`` where the system is built
 (``_arrays``, ``build_common_constraints``) and ``scipy.optimize`` in
@@ -55,6 +58,10 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 FEASIBILITY_TOL = 1e-7
+
+
+class SolverError(RuntimeError):
+    """The LP solver ended without an optimum; the message carries its status."""
 
 
 def _arrays(H: int, delta: float) -> sparse.csr_array:
@@ -126,10 +133,18 @@ def linprog(*args, **kwargs):
 
 
 def _solve(c, a_ub, b_ub, bounds):
-    """HiGHS optimum of min c.x subject to ``a_ub @ x <= b_ub``; raises unless optimal."""
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    """HiGHS optimum of min c.x subject to ``a_ub @ x <= b_ub``; raises unless optimal.
+
+    Presolve is off.  The systems here are small (module docstring), and
+    HiGHS solved them faster without it, for bounds equal within its 1e-7
+    tolerances on every prior tried.  A solve that ends without an optimum
+    (any status but 0) raises ``SolverError``.
+    """
+    res = linprog(
+        c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options={"presolve": False}
+    )
     if res.status != 0:
-        raise RuntimeError(f"LP solver ended with status {res.status}: {res.message}")
+        raise SolverError(f"LP solver ended with status {res.status}: {res.message}")
     return res
 
 

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from bugshare import lowerbound
 from bugshare.cli import run
 
 from helpers import table_from_csv
@@ -232,6 +234,21 @@ def test_lowerbound_rejects_bad_distribution(capsys):
         )
         assert code == 1
         assert dist in err
+
+
+@pytest.mark.parametrize("objective", ["max", "sum"])
+def test_lowerbound_reports_a_solver_refusal_without_traceback(capsys, monkeypatch, objective):
+    def refuse(*args, **kwargs):
+        return SimpleNamespace(status=2, message="The problem is infeasible.")
+
+    monkeypatch.setattr(lowerbound, "linprog", refuse)
+    code, out, err = _run_capture(
+        capsys,
+        ["lowerbound", "--dist", "U(0,1)", "--n", "1", "--H", "10", "--objective", objective],
+    )
+    assert code == 1 and out == ""
+    assert err == "error: LP solver ended with status 2: The problem is infeasible.\n"
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------ simulate

@@ -8,6 +8,7 @@ from bugshare import lowerbound
 from bugshare.distributions import DistributionSpec, discretize
 from bugshare.lowerbound import (
     FEASIBILITY_TOL,
+    SolverError,
     _arrays,
     _max_delay_search,
     _solve,
@@ -197,6 +198,8 @@ def test_every_solve_calls_the_module_linprog(monkeypatch):
 
     def counting(*args, **kwargs):
         constraints.append(kwargs["A_ub"])
+        # presolve is off on every solve (see the test below)
+        assert kwargs.get("options") == {"presolve": False}
         return real(*args, **kwargs)
 
     monkeypatch.setattr(lowerbound, "linprog", counting)
@@ -208,6 +211,47 @@ def test_every_solve_calls_the_module_linprog(monkeypatch):
     sum_delay_lower_bound(UNIFORM, 5, 50)
     assert len(constraints) == 1
     assert constraints[0].nnz > 0
+
+
+def test_bounds_without_presolve_match_the_presolved_solver(monkeypatch):
+    # The library solves with HiGHS' presolve off.  On seeded random priors,
+    # both bounds must end as they do under scipy's default, presolve on: both
+    # give a value, equal within the solver's tolerance (each is optimal only
+    # to HiGHS' 1e-7 tolerances), or both raise with the same status.
+    from scipy.optimize import linprog as scipy_linprog
+
+    rng = np.random.default_rng(2020)
+    cases = []
+    while len(cases) < 60:
+        try:
+            if rng.random() < 0.5:
+                spec = DistributionSpec("uniform", hi=rng.uniform(0.2, 3.0))
+            else:
+                spec = DistributionSpec(
+                    "truncnorm", mu=rng.uniform(-0.3, 1.3), sigma=rng.uniform(0.02, 1.0)
+                )
+        except ValueError:
+            continue
+        cases.append((spec, int(rng.integers(1, 21)), int(rng.choice([20, 50]))))
+
+    def outcome(bound, spec, n, H):
+        try:
+            return bound(spec, n, H)
+        except SolverError as exc:
+            return str(exc).partition(":")[0]  # "LP solver ended with status k"
+
+    bounds = (max_delay_lower_bound, sum_delay_lower_bound)
+    runs = [(bound, case) for case in cases for bound in bounds]
+    without = [outcome(bound, *case) for bound, case in runs]
+    monkeypatch.setattr(
+        lowerbound, "linprog", lambda *args, options, **kwargs: scipy_linprog(*args, **kwargs)
+    )
+    presolved = [outcome(bound, *case) for bound, case in runs]
+    for run, a, b in zip(runs, without, presolved):
+        if isinstance(a, str) or isinstance(b, str):
+            assert a == b, (run, a, b)
+        else:
+            assert abs(a - b) <= FEASIBILITY_TOL, (run, a, b)
 
 
 # ---------------------------------------------------------------- the bounds
