@@ -129,7 +129,7 @@ def check_sp(
     epsilon: float = DEFAULT_EPSILON,
 ) -> AuditReport:
     """Grid-probe truthfulness: no misreport may beat the truth by more than epsilon."""
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:  # so that NaN, which every probe would pass, fails
         raise ValueError("epsilon must be non-negative")
     violations = []
     probes = 0

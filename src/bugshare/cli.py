@@ -263,10 +263,7 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, SolverError) as exc:
+    except (_UsageError, ValueError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

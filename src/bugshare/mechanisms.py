@@ -22,26 +22,23 @@ Four allocation rules are implemented:
 All rules are pure functions; ``gcsod_sample`` is pure given its seed.
 cs, csd and csod are scalar code, the fast path for one profile; the Monte
 Carlo kernels of :mod:`bugshare.simulate` use their row-wise array form
-(optimal deadline and k*).  The group rule has two array forms, each the
-fast one for its callers:
+(optimal deadline and k*).  The group rule has two array forms:
 
-* ``_group_rows`` decides it under given coin flips, one grouping per
-  column: a sampled profile needs one grouping, not 2^n.  The Monte Carlo
-  kernel reduces it to delays, and ``_group_outcomes`` reads each agent's
-  time and payment off it for ``gcsod_allocate``, ``gcsod_sample`` and
-  ``gcsod_realizations``.
-* ``_sorted_table`` gives all 2^n groupings of one profile from one sort
-  and cached rank arrays, where ``_group_rows`` would sort every column;
-  ``gcsod_expected`` and the exact-grouping estimate average it.
+* ``_group_rows`` decides it for many profiles, each under its own coin
+  flips, one per column; only the Monte Carlo kernel calls it.
+* ``_sorted_table`` gives each agent's time and payment for one profile
+  under a set of groupings, from one sort and the groupings' ranks.
+  ``gcsod_expected`` and the exact-grouping estimate average it over all
+  2^n groupings; every single-profile call of the rule reads its outcomes
+  off it through ``_agent_table``.
 
 The arrays are agent-major: an (n, rows) array holds one profile per
 column, so each reduction over the agents is an elementwise pass over n
 contiguous rows instead of a short loop per profile.  ``_group_rows`` sorts
 each profile once, with the right side's values negated, and reads both
 sides' descending orders off that one sort.  The row-wise helpers write
-their (n, rows) scratch into a ``_Workspace`` when given one, so that a
-Monte Carlo estimate allocates it once for all its chunks, and into new
-arrays otherwise.
+their (n, rows) scratch into a ``_Workspace``, so that a Monte Carlo
+estimate allocates it once for all its chunks.
 
 The column sort (``_sort_columns``) is a compare-exchange network, built
 once per n: each comparator is an elementwise min and max of two agent
@@ -49,10 +46,11 @@ rows, a few passes over contiguous memory, where ``np.sort`` along the
 agent axis makes one tiny sort per column.  At n = 10 that takes 35 ns per
 profile against 84.
 
-``_sorted_table`` reads each grouping's two sides off rank arrays built
-once per n (``_sorted_groupings``), the one place that refuses more than
-``ENUMERATION_CAP`` agents.  The test suite checks both forms exactly
-against a scalar oracle of the group rule built from the public rules.
+The ranks of all 2^n groupings are built once per n by
+``_sorted_groupings``, the one place that refuses more than
+``ENUMERATION_CAP`` agents; a single grouping never goes through it.  The
+test suite checks both forms exactly against a scalar oracle of the group
+rule built from the public rules.
 """
 
 from __future__ import annotations
@@ -259,23 +257,28 @@ def gcsod_allocate(profile: TypeProfile, grouping: Grouping) -> Outcome:
     n = len(profile)
     if len(grouping) != n:
         raise ValueError(f"grouping has {len(grouping)} labels for {n} agents")
-    left = np.array([[s == "L"] for s in grouping.side])
-    return _realized(profile, left)[0]
+    left = np.array([s == "L" for s in grouping.side])
+    # the complement column is there for ``_sorted_table``'s precondition
+    return _realized(profile, np.stack([left, ~left], axis=1))[0]
 
 
 def gcsod_sample(profile: TypeProfile, seed: int) -> Outcome:
-    """One realization of the group rule with fair coin flips drawn from ``seed``."""
-    rng = np.random.default_rng(seed)
-    return _realized(profile, (rng.random(len(profile)) < 0.5)[:, None])[0]
+    """One realization of the group rule with fair coin flips drawn from ``seed``.
+
+    Agent i goes to the left group when the i-th uniform draw is below 1/2.
+    """
+    left = np.random.default_rng(seed).random(len(profile)) < 0.5
+    return _realized(profile, np.stack([left, ~left], axis=1))[0]
 
 
 class _Workspace:
-    """Named scratch arrays that array-form calls write instead of allocating.
+    """Named scratch arrays that the row-wise helpers write instead of allocating.
 
     A Monte Carlo estimate runs one kernel on chunk after chunk of the same
     size.  Fresh (n, rows) temporaries per chunk are handed back to the OS
     when freed and faulted in again on the next chunk; one workspace per
-    estimate allocates each array once.
+    estimate allocates each array once.  The row-wise helpers require one;
+    ``_sorted_table``, on one profile, calls ``_prices`` without one.
 
     ``get(key, shape, dtype)`` returns a C-contiguous view of the first
     prod(shape) elements of the flat buffer named ``key``, and grows the
@@ -298,11 +301,6 @@ class _Workspace:
         return flat[:size].reshape(shape)
 
 
-def _scratch(work: _Workspace | None, key: str, shape, dtype=np.float64) -> np.ndarray | None:
-    """``work``'s array ``key`` as a ufunc's ``out``; without a workspace None, which allocates."""
-    return None if work is None else work.get(key, shape, dtype)
-
-
 def _prices(ks: np.ndarray, deadlines: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
     """Prices 1/(k*deadline) less their qualify slack, k and deadline broadcast.
 
@@ -316,13 +314,13 @@ def _prices(ks: np.ndarray, deadlines: np.ndarray, work: _Workspace | None = Non
     out = None if work is None else work.get("products", np.broadcast(ks, deadlines).shape)
     prices = np.multiply(ks, deadlines, out=out)
     np.divide(1.0, prices, out=prices)
-    slack = np.maximum(prices, 1.0, out=_scratch(work, "slack", prices.shape))
+    slack = np.maximum(prices, 1.0, out=None if work is None else work.get("slack", prices.shape))
     slack *= QUALIFY_TOL
     prices -= slack
     return prices
 
 
-def _largest_k(meets: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
+def _largest_k(meets: np.ndarray, work: _Workspace) -> np.ndarray:
     """Per column, the largest k whose k-th value meets its price, else 0.
 
     k has the smallest unsigned type that holds n, so the (n, rows) product
@@ -330,12 +328,10 @@ def _largest_k(meets: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
     """
     n = meets.shape[0]
     ks = np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None]
-    return np.multiply(meets, ks, out=_scratch(work, "ranks", meets.shape, ks.dtype)).max(axis=0)
+    return np.multiply(meets, ks, out=work.get("ranks", meets.shape, ks.dtype)).max(axis=0)
 
 
-def _kstar_rows(
-    sorted_desc: np.ndarray, deadlines: np.ndarray, work: _Workspace | None = None
-) -> np.ndarray:
+def _kstar_rows(sorted_desc: np.ndarray, deadlines: np.ndarray, work: _Workspace) -> np.ndarray:
     """Row-wise ``_max_k``: largest k with k values >= 1/(k*deadline), else 0.
 
     ``sorted_desc`` is agent-major, (n, rows), each column sorted in
@@ -344,20 +340,18 @@ def _kstar_rows(
     """
     ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
     prices = _prices(ks, deadlines, work)
-    meets = np.greater_equal(
-        sorted_desc, prices, out=_scratch(work, "meets", sorted_desc.shape, bool)
-    )
+    meets = np.greater_equal(sorted_desc, prices, out=work.get("meets", sorted_desc.shape, bool))
     return _largest_k(meets, work)
 
 
-def _deadline_rows(sorted_desc: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
+def _deadline_rows(sorted_desc: np.ndarray, work: _Workspace) -> np.ndarray:
     """Row-wise ``optimal_deadline`` of agent-major sorted columns, capped at 1.
 
     min over k of 1/(k*v_(k)) is 1/max(k*v_(k)), bit for bit, because the
     rounded reciprocal is monotone; capping the maximum at 1 caps the deadline.
     """
     ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
-    products = np.multiply(ks, sorted_desc, out=_scratch(work, "products", sorted_desc.shape))
+    products = np.multiply(ks, sorted_desc, out=work.get("products", sorted_desc.shape))
     top = products.max(axis=0)
     np.maximum(top, 1.0, out=top)
     return np.divide(1.0, top, out=top)
@@ -386,7 +380,7 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _sort_columns(a: np.ndarray, low: np.ndarray | None = None) -> np.ndarray:
+def _sort_columns(a: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Sort each column of the agent-major (n, rows) block ``a`` ascending, in place.
 
     This walks a compare-exchange network: each comparator (i, j) is an
@@ -394,11 +388,8 @@ def _sort_columns(a: np.ndarray, low: np.ndarray | None = None) -> np.ndarray:
     rows of a C-contiguous block, where ``np.sort`` along axis 0 makes one
     tiny sort per column.  Equal values come back in any order, and a
     column's 0.0 and -0.0 may trade signs; no caller tells them apart.
-    ``low`` is a scratch row of ``a``'s row shape, allocated when absent.
-    Returns ``a``.
+    ``low`` is a scratch row of ``a``'s row shape.  Returns ``a``.
     """
-    if low is None:
-        low = np.empty_like(a[0])
     for i, j in _sorting_network(a.shape[0]):
         np.minimum(a[i], a[j], out=low)
         np.maximum(a[i], a[j], out=a[j])
@@ -406,7 +397,7 @@ def _sort_columns(a: np.ndarray, low: np.ndarray | None = None) -> np.ndarray:
     return a
 
 
-def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace | None = None):
+def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace):
     """Row-wise decision of ``gcsod_allocate`` under the coin flips ``left``.
 
     Both arrays are agent-major, C-contiguous (n, rows) blocks with one
@@ -415,9 +406,9 @@ def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace | None = 
     which side wins (exact ties favour the left), whether the bug sells, the
     winner's own deadline, the loser's deadline under which the winner
     shares, and the winner's sharing-set size.  The (n, rows) scratch comes
-    from ``work`` when given.  Neither input is written, except that a
-    caller may hold ``values`` in ``work``'s "products": it is read only
-    before that buffer's first write.
+    from ``work``.  Neither input is written, except that a caller may hold
+    ``values`` in ``work``'s "products": it is read only before that
+    buffer's first write.
 
     One sort serves both sides.  Right members are negated (multiplied by -1,
     which is exact), so each ascending column holds the right side first,
@@ -437,21 +428,19 @@ def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace | None = 
     shape = values.shape
     ks = np.arange(1, shape[0] + 1)[:, None]
     # (2 * left - 1) * values, the same bits as values * (2 * left - 1)
-    s = np.multiply(left, 2.0, out=_scratch(work, "signed", shape))
+    s = np.multiply(left, 2.0, out=work.get("signed", shape))
     s -= 1.0
     s *= values
-    # without a workspace the sort is called as ``_sort_columns(a)``, the
-    # form that the tests swap for ``np.sort``
-    s = _sort_columns(s) if work is None else _sort_columns(s, work.get("low", shape[1:]))
+    s = _sort_columns(s, work.get("low", shape[1:]))
     l_sorted = s[::-1]
-    r_sorted = np.negative(s, out=_scratch(work, "negated", shape))
+    r_sorted = np.negative(s, out=work.get("negated", shape))
     dl = _deadline_rows(l_sorted, work)
     dr = _deadline_rows(r_sorted, work)
     own = np.minimum(dl, dr)
     extended = np.maximum(dl, dr)
     prices = _prices(ks, extended, work)
-    meets = np.greater_equal(l_sorted, prices, out=_scratch(work, "meets", shape, bool))
-    other = np.greater_equal(r_sorted, prices, out=_scratch(work, "other", shape, bool))
+    meets = np.greater_equal(l_sorted, prices, out=work.get("meets", shape, bool))
+    other = np.greater_equal(r_sorted, prices, out=work.get("other", shape, bool))
     tie = dl == dr
     left_funds = meets.any(axis=0)
     left_wins = (dl < dr) | (tie & left_funds)
@@ -462,6 +451,22 @@ def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace | None = 
     return left_wins, sold, own, extended, _largest_k(meets, work)
 
 
+def _grouping_ranks(left: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(left, rank, left_rank)`` of the (n, cols) groupings ``left``.
+
+    ``rank`` is each row's 1-based rank within its own side, so with the rows
+    in descending order of value it is the k of that member's k-th price;
+    ``left_rank`` is it on the left side and 0 on the right.  The ranks have
+    the smallest unsigned type that holds n.
+    """
+    n = left.shape[0]
+    dtype = np.min_scalar_type(n)
+    left_rank = np.cumsum(left, axis=0, dtype=dtype)
+    rank = np.where(left, left_rank, np.arange(1, n + 1, dtype=dtype)[:, None] - left_rank)
+    left_rank *= left
+    return left, rank, left_rank
+
+
 @functools.lru_cache(maxsize=ENUMERATION_CAP)
 def _sorted_groupings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 2^n groupings of n agents over sorted positions, built once per n.
@@ -470,13 +475,10 @@ def _sorted_groupings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n above ``ENUMERATION_CAP`` raises ``ValueError``; ``lru_cache`` keeps no
     exception, so no oversized entry is left behind.
 
-    Returns read-only (n, 2^n) arrays ``(left, rank, left_rank)``.  Column c
-    puts position j on the left when bit j of c is set.  ``rank`` is each
-    position's 1-based rank within its own side, so with the positions in
-    descending order of value it is the k of that member's k-th price;
-    ``left_rank`` is the rank on the left side and 0 on the right.  The ranks
-    have the smallest unsigned type that holds n: at n = 16 the three arrays
-    take 3 MiB.
+    Returns ``_grouping_ranks`` of the groupings as read-only (n, 2^n)
+    arrays.  Column c puts position j on the left when bit j of c is set, so
+    column 2^n - 1 - c is the complement of column c.  At n = 16 the three
+    arrays take 3 MiB.
     """
     if n > ENUMERATION_CAP:
         raise ValueError(
@@ -484,33 +486,34 @@ def _sorted_groupings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"got n={n} (use Monte Carlo sampling instead)"
         )
     codes = np.arange(2**n, dtype=np.uint32)
-    left = (codes >> np.arange(n, dtype=np.uint32)[:, None]) & 1 == 1
-    dtype = np.min_scalar_type(n)
-    left_rank = np.cumsum(left, axis=0, dtype=dtype)
-    rank = np.where(left, left_rank, np.arange(1, n + 1, dtype=dtype)[:, None] - left_rank)
-    left_rank *= left
-    for a in (left, rank, left_rank):
+    arrays = _grouping_ranks((codes >> np.arange(n, dtype=np.uint32)[:, None]) & 1 == 1)
+    for a in arrays:
         a.flags.writeable = False
-    return left, rank, left_rank
+    return arrays
 
 
-def _sorted_table(sorted_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Times and payments of the group rule for all 2^n groupings, in sorted space.
+def _sorted_table(
+    sorted_desc: np.ndarray, left: np.ndarray, rank: np.ndarray, left_rank: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Times and payments of the group rule under each grouping, in sorted space.
 
-    ``sorted_desc`` holds one profile's values in descending order; the
-    (n, 2^n) results have one row per sorted position and one column per
-    ``_sorted_groupings`` column.  Each side's k-th value is its member of
-    rank k, so no grouping is sorted.
+    ``sorted_desc`` holds one profile's values in descending order, and
+    ``(left, rank, left_rank)`` is ``_grouping_ranks`` of (n, cols) groupings
+    of those sorted positions; the (n, cols) results have one row per sorted
+    position and one column per grouping.  Each side's k-th value is its
+    member of rank k, so no grouping is sorted.
 
-    The right side of column c is the left side of column 2^n - 1 - c, so
-    the right deadlines are the left ones reversed.  The winner's own
-    deadline is the smaller of the two and its extended deadline the larger,
-    and ties are decided by the masks of the k* pass, as in ``_group_rows``.
-    k* is the largest rank of a winner that meets its price, and the payers
-    are the winners of rank at most k*: k* never splits a tie of values,
-    since the tied value past it would qualify k* + 1.
+    Precondition: column cols - 1 - c of ``left`` is the complement of
+    column c, so the right deadlines are the left ones reversed.  The 2^n
+    columns of ``_sorted_groupings`` meet it, with their rows in any order,
+    and so do the two columns ``[g, ~g]`` of a single grouping g.
+
+    The winner's own deadline is the smaller of the two and its extended
+    deadline the larger, and ties are decided by the masks of the k* pass,
+    as in ``_group_rows``.  k* is the largest rank of a winner that meets its
+    price, and the payers are the winners of rank at most k*: k* never
+    splits a tie of values, since the tied value past it would qualify k* + 1.
     """
-    left, rank, left_rank = _sorted_groupings(sorted_desc.shape[0])
     v = sorted_desc[:, None]
     dl = 1.0 / np.maximum((left_rank * v).max(axis=0), 1.0)
     dr = dl[::-1]
@@ -531,32 +534,24 @@ def _sorted_table(sorted_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return times, payments
 
 
-def _group_outcomes(values: np.ndarray, left: np.ndarray):
-    """Per-agent times and payments of the group rule under each column of ``left``.
+def _agent_table(values: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-agent times and payments, (n, cols), under each column of ``left``.
 
-    ``values`` is one profile, (n,); ``left`` holds one grouping per column,
-    (n, cols).  Each agent's result is read off ``_group_rows``' decision:
-    the payers are the winners whose value meets the k* price under the
-    extended deadline, which are the top k* winners, since k* never splits a
-    tie; the other winners wait until the extended deadline and the losers
-    until the winner's own one.  An unsold column has k* = 0, no payer and
-    everyone waiting until 1; its price is taken at k = 1, so that nothing
-    divides by zero.  Returns ``(times, payments, sold)``.
+    ``values`` is one profile, (n,); ``left`` holds groupings of its agents,
+    one per column, closed under complement as ``_sorted_table`` requires.
     """
-    spread = np.repeat(values[:, None], left.shape[1], axis=1)
-    left_wins, sold, own, extended, k_star = _group_rows(spread, left)
-    k_paid = np.maximum(k_star, 1)
-    winner = left == left_wins
-    payer = winner & (spread >= _prices(k_paid, extended))
-    times = np.where(sold, np.where(winner, extended, own), 1.0)
-    times[payer] = 0.0
-    payments = np.where(payer, 1.0 / k_paid, 0.0)
-    return times, payments, sold
+    order = np.argsort(-values, kind="stable")
+    times, payments = _sorted_table(values[order], *_grouping_ranks(left[order]))
+    # the argsort of a permutation is its inverse
+    back = np.argsort(order)
+    return times[back], payments[back]
 
 
 def _realized(profile: TypeProfile, left: np.ndarray) -> list[Outcome]:
-    """The group rule's ``Outcome`` under each column of the coin flips ``left``."""
-    times, payments, sold = _group_outcomes(np.array(profile.values), left)
+    """The group rule's ``Outcome`` under each column of the groupings ``left``."""
+    times, payments = _agent_table(np.array(profile.values), left)
+    # a sold outcome collects 1 in total, an unsold one nothing
+    sold = payments.any(axis=0)
     columns = zip(times.T.tolist(), payments.T.tolist(), sold.tolist())
     return [Outcome(t, p, sold=s) for t, p, s in columns]
 
@@ -568,7 +563,7 @@ def grouping_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order.  No library code calls it; the benchmark's tracer names it.
     """
     values = np.asarray(values, dtype=float)
-    times, payments, _ = _group_outcomes(values, _sorted_groupings(values.shape[0])[0])
+    times, payments = _agent_table(values, _sorted_groupings(values.shape[0])[0])
     return times.T, payments.T
 
 
@@ -589,7 +584,7 @@ def gcsod_expected(profile: TypeProfile) -> ExpectedOutcome:
     """
     values = np.array(profile.values)
     order = np.argsort(-values, kind="stable")
-    times, payments = _sorted_table(values[order])
+    times, payments = _sorted_table(values[order], *_sorted_groupings(len(values)))
     # Every grouping is one column in either space, so only the rows map back.
     # A sum over the 2^n columns divided by their count is what mean() computes,
     # without its per-call overhead.

@@ -209,11 +209,12 @@ def _exact_grouping_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # max and sum over the agents do not depend on their order, so the
     # sorted-space table serves as it is
     sorted_desc = np.sort(values, axis=1)[:, ::-1]
+    groupings = _sorted_groupings(values.shape[1])
     rows = values.shape[0]
     mx = np.empty(rows)
     sm = np.empty(rows)
     for r in range(rows):
-        times, _ = _sorted_table(sorted_desc[r])
+        times, _ = _sorted_table(sorted_desc[r], *groupings)
         mx[r] = times.max(axis=0).mean()
         sm[r] = times.sum(axis=0).mean()
     return mx, sm

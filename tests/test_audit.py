@@ -85,8 +85,10 @@ def test_gcsod_expected_truthful_on_random_suite():
 
 
 def test_check_sp_rejects_negative_epsilon():
-    with pytest.raises(ValueError, match="epsilon"):
-        check_sp(cs_allocate, [EXAMPLE_PROFILE], (0.5,), epsilon=-1.0)
+    # NaN too: u_dev > u_truth + NaN is never true, a vacuous pass
+    for epsilon in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            check_sp(cs_allocate, [EXAMPLE_PROFILE], (0.5,), epsilon=epsilon)
 
 
 def test_misreport_grid_contains_thresholds():

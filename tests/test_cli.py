@@ -113,6 +113,15 @@ def test_audit_sp_csod_finds_example_two_and_exits_two(capsys):
     assert 1 in agents
 
 
+def test_audit_sp_rejects_nan_epsilon(capsys):
+    # with the default epsilon this audit fails, so a NaN slack must not pass it
+    argv = ["audit", "--property", "sp", "--mechanism", "csod", "--profile", "0.9,0.8,0.26,0.26"]
+    code, out, err = _run_capture(capsys, [*argv, "--epsilon", "nan"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: epsilon must be non-negative\n"
+
+
 def test_audit_sp_cs_passes(capsys):
     code, out, _ = _run_capture(
         capsys,

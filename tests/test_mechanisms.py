@@ -18,6 +18,7 @@ from bugshare.mechanisms import (
     gcsod_sample,
     grouping_table,
     optimal_deadline,
+    _Workspace,
     _group_rows,
     _sort_columns,
     _sorted_groupings,
@@ -99,7 +100,7 @@ def test_sort_columns_sorts_every_zero_one_column():
     for n in range(1, 17):
         columns = ((np.arange(2**n) >> np.arange(n)[:, None]) & 1).astype(float)
         expected = np.sort(columns, axis=0)
-        assert np.array_equal(_sort_columns(columns), expected), n
+        assert np.array_equal(_sort_columns(columns, np.empty(2**n)), expected), n
 
 
 # The group rule sorts values with its right side negated, so its columns
@@ -110,10 +111,10 @@ def test_group_rows_match_np_sort_bit_for_bit():
     for n in range(1, 21):
         values = rng.choice(TIE_GRID, (n, 400))
         left = rng.random((n, 400)) < 0.5
-        network = _group_rows(values, left)
+        network = _group_rows(values, left, _Workspace())
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mechanisms, "_sort_columns", lambda a: np.sort(a, axis=0))
-            reference = _group_rows(values, left)
+            mp.setattr(mechanisms, "_sort_columns", lambda a, low: np.sort(a, axis=0))
+            reference = _group_rows(values, left, _Workspace())
         for got, want in zip(network, reference):
             assert got.tobytes() == want.tobytes(), n
 
@@ -339,6 +340,15 @@ def test_gcsod_sample_deterministic():
     first = gcsod_sample(EXAMPLE_PROFILE, seed=42)
     second = gcsod_sample(EXAMPLE_PROFILE, seed=42)
     assert first == second
+    # agent i is on the left exactly when the i-th uniform of the seed's
+    # stream is below 1/2, so swapping the sides would fail here
+    rng = np.random.default_rng(17)
+    for n in range(1, 11):
+        for profile in _value_kinds(rng, n):
+            for seed in (0, 5, 42, 2024):
+                coins = np.random.default_rng(seed).random(n)
+                grouping = Grouping(tuple("L" if c < 0.5 else "R" for c in coins))
+                assert gcsod_sample(profile, seed) == gcsod_allocate(profile, grouping)
 
 
 def test_gcsod_sample_all_zero_never_sells():
@@ -399,15 +409,16 @@ def _side(code, n):
 
 
 def test_gcsod_expected_agrees_with_allocate_per_grouping():
-    # every grouping of the sorted-space table and of the one-column rule must
-    # replicate the scalar oracle exactly; past six agents the rule is checked
-    # on random groupings
+    # every grouping of the sorted-space table and of the one-grouping rule
+    # must replicate the scalar oracle exactly; past six agents the rule is
+    # checked on random groupings, past the enumeration cap too, since a
+    # single grouping never enumerates the 2^n of them
     rng = np.random.default_rng(3)
     for n in range(1, 7):
         for profile in _value_kinds(rng, n):
             values = np.array(profile.values)
             order = np.argsort(-values, kind="stable")
-            times, payments = _sorted_table(values[order])
+            times, payments = _sorted_table(values[order], *_sorted_groupings(n))
             ranked = TypeProfile(tuple(values[order]))
             for code in range(2**n):
                 grouping = Grouping(_side(code, n))
@@ -416,7 +427,7 @@ def test_gcsod_expected_agrees_with_allocate_per_grouping():
                 assert tuple(times[:, code]) == want.times
                 assert tuple(payments[:, code]) == want.payments
                 assert gcsod_allocate(profile, grouping) == gcsod_oracle(profile, grouping)
-    for n in range(7, 13):
+    for n in (*range(7, 13), 17, 24, 40):
         for profile in _value_kinds(rng, n):
             for code in rng.integers(2**n, size=20):
                 grouping = Grouping(_side(int(code), n))
@@ -461,7 +472,7 @@ def test_every_grouping_enumeration_refuses_past_the_cap():
 
     _sorted_groupings.cache_clear()
     with pytest.raises(ValueError, match=CAP_MESSAGE):
-        _sorted_table(np.full(17, 0.5))
+        _sorted_groupings(17)
     with pytest.raises(ValueError, match=CAP_MESSAGE):
         grouping_table(np.full(17, 0.5))
     with pytest.raises(ValueError, match=CAP_MESSAGE):
