@@ -131,6 +131,8 @@ def check_sp(
     """Grid-probe truthfulness: no misreport may beat the truth by more than epsilon."""
     if not epsilon >= 0.0:  # so that NaN, which every probe would pass, fails
         raise ValueError("epsilon must be non-negative")
+    if epsilon == math.inf:  # every probe would pass this one too
+        raise ValueError("epsilon must be finite")
     violations = []
     probes = 0
     for profile in profiles:
@@ -204,6 +206,8 @@ def check_monotonicity(
     """Allocation time must be non-increasing along each agent's report sweep."""
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("report grid must be sorted ascending")
+    if len(grid) == 1:  # it would probe, but never compare two sweep points
+        raise ValueError("monotonicity needs at least two grid points")
     violations = []
     probes = 0
     for profile in profiles:

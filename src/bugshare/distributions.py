@@ -3,7 +3,8 @@
 Two families are supported: uniform on [lo, hi] and a normal conditioned on
 [lo, hi] (truncated and renormalized), with 0 <= lo < hi finite; a normal
 with no representable mass on [lo, hi] is rejected.  Both expose an exact
-CDF, seeded inverse-CDF sampling, and the H-segment mass vector consumed by
+CDF, seeded inverse-CDF sampling, the uniforms at which the sampler's values
+cross given levels (``preimage``), and the H-segment mass vector consumed by
 the linear programs.  Specs parse from the compact notation used in the
 experiment tables: ``U(0,1)``, ``N(0.5,0.2)`` (normals are always conditioned
 on [0,1]).
@@ -116,14 +117,23 @@ def draw(
 ) -> np.ndarray:
     """Inverse-CDF draws from an existing generator stream.
 
-    Every step works in place on the one array of uniforms: ``out`` when
-    given (a C-contiguous float64 array of ``shape``, which is returned),
-    else a new one.  The stream is read in the same order either way.  Each
-    value is the same IEEE result as ``lo + u * (hi - lo)`` or
-    ``clip(mu + sigma * ndtri(a + u * (b - a)), lo, hi)``, since ``+`` and
-    ``*`` are commutative.
+    The uniforms come from ``rng.random`` into ``out`` when given (a
+    C-contiguous float64 array of ``shape``, which is returned), else into a
+    new array, and ``_to_values`` maps them in place.  The stream is read in
+    the same order either way.
     """
-    x = rng.random(shape, out=out)
+    return _to_values(spec, rng.random(shape, out=out))
+
+
+def _to_values(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    """Map the uniforms ``x`` to values of ``spec`` in place and return ``x``.
+
+    Every step works in place on ``x``, with no temporary.  Each value is the
+    same IEEE result as ``lo + u * (hi - lo)`` or
+    ``clip(mu + sigma * ndtri(a + u * (b - a)), lo, hi)``, since ``+`` and
+    ``*`` are commutative, and it depends on its own uniform alone, so a
+    subset of the uniforms maps to the same bits as the whole array.
+    """
     if spec.kind == "uniform":
         x *= spec.hi - spec.lo
         x += spec.lo
@@ -137,6 +147,46 @@ def draw(
     x *= spec.sigma
     x += spec.mu
     return np.clip(x, spec.lo, spec.hi, out=x)
+
+
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
+
+
+def preimage(spec: DistributionSpec, levels) -> np.ndarray:
+    """Per level, where the sampler's values cross it: a u in [0, 1), or 1.0 for never.
+
+    A bisection over the doubles in [0, 1], all levels at once, on their
+    int64 bit patterns, which order non-negative doubles as their values
+    do; it takes 62 steps.  Each step maps its midpoints through
+    ``_to_values``, the exact pipeline of ``draw``.  The result u has
+    ``_to_values(u) >= level`` and the double below it does not, or it is 0.0
+    when 0.0 already reaches the level.  A level that no u < 1 reaches, NaN
+    included, maps to 1.0, which no uniform of ``draw`` reaches either.
+
+    For a non-decreasing sampler u is the least double that reaches the
+    level.  In floating point the sampler is not monotone: ``ndtri`` errs by
+    a few ulps.  For ``truncnorm(mu=0.6484032201041083,
+    sigma=0.1448215646457347)``, u = 0.1539107778657308 maps to exactly
+    0.499999999999, the next four doubles map below it (three of them to
+    0.49999999999899997) and the fifth maps to it again.  For that level the
+    bisection returns that fifth double, 0.15391077786573093, and a plain
+    ``u >= result`` test would read u itself, whose value meets the level,
+    as falling short.  A caller that compares uniforms with preimages instead
+    of values with levels needs a guard band around each level; see
+    ``simulate._price_preimages``.
+    """
+    levels = np.asarray(levels, dtype=float)
+    lo = np.zeros(levels.shape, np.int64)  # 0.0, or a double below the level
+    hi = np.full(levels.shape, _ONE_BITS)  # 1.0, or a double at or above it
+    while True:
+        mid = (lo + hi) >> 1
+        if np.array_equal(mid, lo):
+            break
+        reaches = _to_values(spec, mid.view(np.float64).copy()) >= levels
+        np.copyto(hi, mid, where=reaches)
+        np.copyto(lo, mid, where=~reaches)
+    at_zero = _to_values(spec, np.zeros(levels.shape)) >= levels
+    return np.where(at_zero, 0.0, hi.view(np.float64))
 
 
 def sample(spec: DistributionSpec, count: int, seed: int) -> np.ndarray:

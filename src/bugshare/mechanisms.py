@@ -331,16 +331,16 @@ def _largest_k(meets: np.ndarray, work: _Workspace) -> np.ndarray:
     return np.multiply(meets, ks, out=work.get("ranks", meets.shape, ks.dtype)).max(axis=0)
 
 
-def _kstar_rows(sorted_desc: np.ndarray, deadlines: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Row-wise ``_max_k``: largest k with k values >= 1/(k*deadline), else 0.
+def _kstar_rows(sorted_desc: np.ndarray, levels: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Per column, the largest k whose k-th entry is at least level k, else 0.
 
     ``sorted_desc`` is agent-major, (n, rows), each column sorted in
-    descending order; ``deadlines`` holds one deadline per column, or one for
-    all of them.
+    descending order; ``levels`` is (n, 1) or (n, rows).  With the values'
+    ``_prices`` as levels this is the row-wise ``_max_k``; the Monte Carlo
+    estimate of cs and csd also runs it on sorted uniforms against the
+    prices' preimages.
     """
-    ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
-    prices = _prices(ks, deadlines, work)
-    meets = np.greater_equal(sorted_desc, prices, out=work.get("meets", sorted_desc.shape, bool))
+    meets = np.greater_equal(sorted_desc, levels, out=work.get("meets", sorted_desc.shape, bool))
     return _largest_k(meets, work)
 
 

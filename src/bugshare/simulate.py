@@ -7,6 +7,16 @@ are read in the same order whatever the chunk size, so the draws do not
 depend on it.  ``draw`` maps the chunk's uniforms to values in place, with
 no temporary per arithmetic step.
 
+cs and csd read a value only through ``v >= price_k``, so their estimates
+never map the uniforms: each kernel sorts the chunk's uniforms and compares
+the k-th largest with two preimages of price k under ``draw``'s exact
+pipeline, computed once per estimate (``_price_preimages``).  A guard band
+between the two makes up for the sampler not being monotone in floating
+point; the few profiles with a uniform inside it are mapped to their values
+and priced as before, so the reports are bit for bit those of the value
+path.  csod, the group rule and the exact-grouping mode use the values
+themselves, in products and per-row deadlines, and draw them.
+
 One ``estimate`` call holds one workspace (``mechanisms._Workspace``) for
 all its chunks: the draws, the coin flips, the agent-major copies and the
 kernels' (n, rows) scratch are allocated once and rewritten by every chunk.
@@ -41,16 +51,18 @@ import io
 import json
 import csv as _csv
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import DistributionSpec, draw
+from .distributions import DistributionSpec, _to_values, draw, preimage
 from .lowerbound import max_delay_lower_bound, sum_delay_lower_bound
 from .mechanisms import (
     _Workspace,
     _deadline_rows,
     _group_rows,
     _kstar_rows,
+    _prices,
     _sort_columns,
     _sorted_groupings,
     _sorted_table,
@@ -117,18 +129,21 @@ class TableRow:
 
 
 def _share_delays(
-    sorted_desc: np.ndarray, deadlines: np.ndarray, work: _Workspace
+    k_star: np.ndarray, deadlines: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per column of cost sharing on [0, deadline].
 
-    ``sorted_desc`` is agent-major, (n, rows); ``deadlines`` holds one
-    deadline per column, or one for all of them.  k* = n means the row sold
-    and nobody waits; an unsold row has k* = 0 and everyone waits until the
-    deadline, as in ``csd_allocate``.
+    ``deadlines`` holds one deadline per column, or one for all of them.
+    k* = n means the row sold and nobody waits; an unsold row has k* = 0 and
+    everyone waits until the deadline, as in ``csd_allocate``.
     """
-    n = sorted_desc.shape[0]
-    k_star = _kstar_rows(sorted_desc, deadlines, work)
     return np.where(k_star == n, 0.0, deadlines), (n - k_star) * deadlines
+
+
+def _priced_kstar(sorted_desc: np.ndarray, deadlines: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Row-wise ``_max_k`` of agent-major sorted values at their deadlines."""
+    ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
+    return _kstar_rows(sorted_desc, _prices(ks, deadlines, work), work)
 
 
 def _agent_major(rows: np.ndarray, key: str, work: _Workspace, dtype=np.float64) -> np.ndarray:
@@ -151,25 +166,87 @@ def _sorted_desc(values: np.ndarray, work: _Workspace) -> np.ndarray:
     return _sort_columns(block, work.get("low", block.shape[1:]))[::-1]
 
 
+# Half-width of the guard band around each price, relative above 1.
+PREIMAGE_BAND = 1e-9
+
+
+class _Preimages(NamedTuple):
+    """Where the values of ``spec`` cross the n prices of one deadline, in uniforms.
+
+    Let q be price k.  A sorted column's k-th uniform at or above ``above[k-1]``
+    has k values at or above q; one below ``below[k-1]`` has fewer than k.
+    """
+
+    spec: DistributionSpec
+    below: np.ndarray  # (n, 1)
+    above: np.ndarray  # (n, 1)
+
+
+def _price_preimages(spec: DistributionSpec, n: int, t_c: float) -> _Preimages:
+    """The preimages of each price at deadline ``t_c`` less and plus a guard band.
+
+    The band is eps = ``PREIMAGE_BAND`` * max(1, |q|) around price q.  The
+    sampler f is not monotone in floating point (``distributions.preimage``
+    shows a case), but say it lies within eps/2 of some non-decreasing g.
+    A u at or above the crossing c of q + eps has
+    f(u) >= g(u) - eps/2 >= g(c) - eps/2 >= f(c) - eps >= q.  A u at or
+    below the double d just under the crossing of q - eps has
+    f(u) <= g(u) + eps/2 <= g(d) + eps/2 <= f(d) + eps < q.  So a column
+    whose k-th largest uniform is at or above ``above`` has k values at or
+    above q, and one whose k-th largest is below ``below`` has at most
+    k - 1.  ``ndtri`` errs by a few ulps, far inside 1e-9, and a uniform
+    prior's two rounded steps are monotone.  A NaN price (t_c = 0) and one
+    above the support map to 1.0, never reached, as no value meets them.
+    """
+    ks = np.arange(1, n + 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prices = _prices(ks, np.array([t_c]))
+    eps = PREIMAGE_BAND * np.maximum(1.0, np.abs(prices))
+    below, above = preimage(spec, np.stack([prices - eps, prices + eps]))
+    return _Preimages(spec, below, above)
+
+
 def batch_csd_delays(
-    values: np.ndarray, t_c: float, work: _Workspace | None = None
+    values: np.ndarray,
+    t_c: float,
+    work: _Workspace | None = None,
+    *,
+    preimages: _Preimages | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per row under the fixed-deadline rule.
 
     Each ``batch_*_delays`` kernel takes its scratch from ``work``, or from a
     workspace of its own when none is given, and returns new arrays.
+
+    With ``preimages`` (``_price_preimages`` of the same n and t_c),
+    ``values`` holds the uniforms that ``draw`` would map to the values, and
+    the result is the same as on those values.  k* is read off the sorted
+    uniforms twice, against ``above`` (a lower bound on the true k*) and
+    against ``below`` (an upper bound); the rows where the two differ, which
+    have some k-th uniform inside the guard band, are mapped to their values
+    and decided by the prices.
     """
     work = _Workspace() if work is None else work
+    deadlines = np.array([t_c])
+    sorted_desc = _sorted_desc(values, work)
     # t_c = 0 prices every group at infinity; the price-scaled slack turns that
     # threshold into NaN, which no value meets, so k* = 0 as in ``_max_k``
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _share_delays(_sorted_desc(values, work), np.array([t_c]), work)
+        if preimages is None:
+            k_star = _priced_kstar(sorted_desc, deadlines, work)
+        else:
+            k_star = _kstar_rows(sorted_desc, preimages.above, work)
+            unsure = np.flatnonzero(k_star != _kstar_rows(sorted_desc, preimages.below, work))
+            if unsure.size:
+                exact = _to_values(preimages.spec, values[unsure])
+                k_star[unsure] = _priced_kstar(_sorted_desc(exact, work), deadlines, work)
+    return _share_delays(k_star, deadlines, values.shape[1])
 
 
 def batch_cs_delays(
-    values: np.ndarray, work: _Workspace | None = None
+    values: np.ndarray, work: _Workspace | None = None, *, preimages: _Preimages | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    return batch_csd_delays(values, 1.0, work)
+    return batch_csd_delays(values, 1.0, work, preimages=preimages)
 
 
 def batch_csod_delays(
@@ -178,7 +255,8 @@ def batch_csod_delays(
     """(max delay, sum delay) per row under the optimal-deadline rule."""
     work = _Workspace() if work is None else work
     sorted_desc = _sorted_desc(values, work)
-    return _share_delays(sorted_desc, _deadline_rows(sorted_desc, work), work)
+    deadlines = _deadline_rows(sorted_desc, work)
+    return _share_delays(_priced_kstar(sorted_desc, deadlines, work), deadlines, values.shape[1])
 
 
 def batch_gcsod_delays(
@@ -193,15 +271,22 @@ def batch_gcsod_delays(
     left_wins, sold, own, extended, k_star = _group_rows(
         _agent_major(values, "products", work), left, work
     )
-    n_left = left.sum(axis=0)
-    n_win = np.where(left_wins, n_left, n - n_left)
+    # the tail works branch-free, on counts of k*'s small unsigned type: a
+    # select on a coin-flip mask mispredicts about every other row.  Each
+    # float step is the IEEE operation of the plain formula: the counts
+    # convert exactly, and the deadlines lie in (0, 1], so multiplying one by
+    # a mask gives it or +0.0.  ``left`` is dead after the count, so the
+    # winners' mask overwrites it.
+    n_win = np.add.reduce(np.equal(left, left_wins, out=left), axis=0, dtype=k_star.dtype)
     n_lose = n - n_win
-    mx = np.maximum(
-        np.where(n_win > k_star, extended, 0.0),
-        np.where(n_lose > 0, own, 0.0),
-    )
-    sm = (n_win - k_star) * extended + n_lose * own
-    return np.where(sold, mx, 1.0), np.where(sold, sm, float(n))
+    unsold = ~sold
+    mx = np.multiply(extended, n_win > k_star)
+    np.maximum(mx, np.multiply(own, n_lose > 0), out=mx)
+    np.copyto(mx, 1.0, where=unsold)
+    sm = np.multiply(n_win - k_star, extended, out=extended)
+    sm += np.multiply(n_lose, own, out=own)
+    np.copyto(sm, float(n), where=unsold)
+    return mx, sm
 
 
 def _exact_grouping_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,26 +317,34 @@ def estimate(config: SimulationConfig) -> SimulationReport:
     rng_coins = np.random.default_rng(coin_seed)
 
     work = _Workspace()
+    preimages = None
+    if config.mechanism in ("cs", "csd"):
+        t_c = 1.0 if config.mechanism == "cs" else config.t_c
+        preimages = _price_preimages(config.spec, config.n, t_c)
     total = np.zeros(2)
     total_sq = np.zeros(2)
     remaining = config.samples
     while remaining > 0:
         shape = (min(remaining, _CHUNK_ROWS), config.n)
-        values = draw(config.spec, shape, rng_values, out=work.get("draws", shape))
-        if config.mechanism == "cs":
-            mx, sm = batch_cs_delays(values, work)
-        elif config.mechanism == "csd":
-            mx, sm = batch_csd_delays(values, config.t_c, work)
-        elif config.mechanism == "csod":
-            mx, sm = batch_csod_delays(values, work)
-        elif config.mode == "exact_grouping":
-            mx, sm = _exact_grouping_delays(values)
+        block = work.get("draws", shape)
+        if preimages is not None:
+            uniforms = rng_values.random(shape, out=block)
+            if config.mechanism == "cs":
+                mx, sm = batch_cs_delays(uniforms, work, preimages=preimages)
+            else:
+                mx, sm = batch_csd_delays(uniforms, config.t_c, work, preimages=preimages)
         else:
-            # the uniforms are dead once flipped, so they borrow a buffer
-            # that the kernel only writes later
-            coins = rng_coins.random(shape, out=work.get("products", shape))
-            left = np.less(coins, 0.5, out=work.get("flips", shape, bool))
-            mx, sm = batch_gcsod_delays(values, left, work)
+            values = draw(config.spec, shape, rng_values, out=block)
+            if config.mechanism == "csod":
+                mx, sm = batch_csod_delays(values, work)
+            elif config.mode == "exact_grouping":
+                mx, sm = _exact_grouping_delays(values)
+            else:
+                # the uniforms are dead once flipped, so they borrow a buffer
+                # that the kernel only writes later
+                coins = rng_coins.random(shape, out=work.get("products", shape))
+                left = np.less(coins, 0.5, out=work.get("flips", shape, bool))
+                mx, sm = batch_gcsod_delays(values, left, work)
         total += (mx.sum(), sm.sum())
         total_sq += ((mx * mx).sum(), (sm * sm).sum())
         remaining -= shape[0]

@@ -119,6 +119,36 @@ def test_ir_csd_failed_sale_still_rational():
     assert check_ir(lambda p: csd_allocate(p, 0.3), [TypeProfile((0.9, 0.8))]).passed
 
 
+def _ir_deficit_rule(deficit):
+    """A rule that charges agent 0 ``deficit`` more than the value of its time-0 delivery."""
+
+    def rule(profile):
+        half = 0.5 + deficit
+        return Outcome((0.0, 0.0), (half, 1.0 - half), True)
+
+    return rule
+
+
+def test_ir_flags_a_deficit_above_its_tolerance():
+    pair = TypeProfile((0.5, 0.5))
+    report = check_ir(_ir_deficit_rule(1e-6), [pair])
+    assert not report.passed
+    [violation] = report.violations
+    assert violation.agent == 0
+    assert violation.amount == pytest.approx(-1e-6, rel=1e-9)
+
+
+def test_ir_passes_a_deficit_below_its_tolerance():
+    assert check_ir(_ir_deficit_rule(1e-10), [TypeProfile((0.5, 0.5))]).passed
+
+
+def test_sp_rejects_an_infinite_epsilon():
+    # with the default epsilon this audit fails; an infinite slack passes every probe
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        check_sp(csod_allocate, [EXAMPLE_PROFILE], misreport_grid(4), epsilon=math.inf)
+    assert not check_sp(csod_allocate, [EXAMPLE_PROFILE], misreport_grid(4)).passed
+
+
 # ------------------------------------------------------------------- check_bb
 
 
@@ -187,6 +217,33 @@ def test_monotonicity_catches_increasing_rule():
     increasing = lambda p: Outcome((min(1.0, p.values[0]),) * len(p), (0.0,) * len(p), False)
     report = check_monotonicity(increasing, [TypeProfile((0.1, 0.2))], (0.1, 0.9))
     assert not report.passed
+
+
+def _time_jump_rule(jump):
+    """Each agent gets time 0.5, plus ``jump`` once its own report reaches 0.5."""
+    return lambda p: Outcome(
+        tuple(0.5 + jump * (v >= 0.5) for v in p.values), (0.0,) * len(p), False
+    )
+
+
+def test_monotonicity_flags_a_time_jump_above_its_tolerance():
+    report = check_monotonicity(_time_jump_rule(1e-6), [TypeProfile((0.2, 0.3))], (0.1, 0.9))
+    assert not report.passed
+    assert [v.agent for v in report.violations] == [0, 1]
+    for v in report.violations:
+        assert v.detail == 0.9
+        assert v.amount == pytest.approx(1e-6, rel=1e-9)
+
+
+def test_monotonicity_passes_a_time_jump_below_its_tolerance():
+    rule = _time_jump_rule(1e-10)
+    assert check_monotonicity(rule, [TypeProfile((0.2, 0.3))], (0.1, 0.9)).passed
+
+
+def test_monotonicity_rejects_a_one_point_grid():
+    # a single sweep point is probed but never compared with another
+    with pytest.raises(ValueError, match="at least two grid points"):
+        check_monotonicity(_time_jump_rule(0.8), [TypeProfile((0.2, 0.3))], (0.9,))
 
 
 def test_zero_probe_audits_raise():

@@ -122,6 +122,22 @@ def test_audit_sp_rejects_nan_epsilon(capsys):
     assert err == "error: epsilon must be non-negative\n"
 
 
+def test_audit_sp_rejects_infinite_epsilon(capsys):
+    argv = ["audit", "--property", "sp", "--mechanism", "csod", "--profile", "0.9,0.8,0.26,0.26"]
+    code, out, err = _run_capture(capsys, [*argv, "--epsilon", "inf"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: epsilon must be finite\n"
+
+
+def test_audit_mono_rejects_a_one_point_sweep(capsys):
+    argv = ["audit", "--property", "mono", "--mechanism", "cs", "--profile", "0.9,0.8"]
+    code, out, err = _run_capture(capsys, [*argv, "--points", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: monotonicity needs at least two grid points\n"
+
+
 def test_audit_sp_cs_passes(capsys):
     code, out, _ = _run_capture(
         capsys,

@@ -11,6 +11,7 @@ from bugshare.distributions import (
     cdf,
     discretize,
     draw,
+    preimage,
     sample,
 )
 
@@ -128,6 +129,25 @@ def test_draw_pins_the_sampler_stream(label, shape):
     assert sample(spec, 5000, seed=17).tobytes() == _draw_out_of_place(
         spec, 5000, np.random.default_rng(17)
     ).tobytes()
+
+
+# A uniform prior's sampler, u * (hi - lo) + lo in two rounded steps, is
+# non-decreasing, so each preimage is the least double that reaches its level.
+@pytest.mark.parametrize("label", ["U(0,1)", "U(0,3)", "U(0.25,1.75)"])
+def test_preimage_is_the_least_double_reaching_each_level(label):
+    spec = DistributionSpec.parse(label)
+    levels = spec.lo + (spec.hi - spec.lo) * np.random.default_rng(3).random(200)
+    got = preimage(spec, levels)
+    assert (got > 0.0).all() and (got < 1.0).all()
+    at = spec.lo + got * (spec.hi - spec.lo)
+    before = spec.lo + np.nextafter(got, 0.0) * (spec.hi - spec.lo)
+    assert (at >= levels).all() and (before < levels).all()
+
+
+def test_preimage_of_levels_outside_the_values():
+    for spec in (UNIFORM, NORMAL_02):
+        got = preimage(spec, [-1.0, spec.lo, np.nan, 2.0, np.inf])
+        assert got.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
 
 
 def test_sample_rejects_bad_count():

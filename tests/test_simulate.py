@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bugshare.distributions import DistributionSpec, cdf, draw
+from bugshare.distributions import DistributionSpec, _to_values, cdf, draw
 from bugshare.mechanisms import (
     Grouping,
     TypeProfile,
@@ -362,6 +362,124 @@ def test_kernels_sharing_a_workspace_keep_earlier_results_and_inputs():
             assert np.array_equal(got, fresh)
         for a, kept in zip(first + second, kept_inputs):
             assert np.array_equal(a, kept)
+
+
+# ------------------------------------------------ cs and csd in uniform space
+
+# ``ndtri`` makes this sampler non-monotone around csd(t_c = 0.2)'s tenth
+# price, 0.499999999999: PINNED_U maps to exactly the price, the next four
+# doubles map below it and the fifth maps to it again.
+PINNED = DistributionSpec("truncnorm", mu=0.6484032201041083, sigma=0.1448215646457347)
+PINNED_U = 0.1539107778657308
+EXACTNESS_PRIORS = [
+    UNIFORM,
+    DistributionSpec.parse("U(0.25,1.75)"),
+    DistributionSpec.parse("N(0.5,0.2)"),
+    DistributionSpec.parse("N(0.5,0.4)"),
+    PINNED,
+]
+SHARING_RULES = [("cs", None), ("csd", 0.0), ("csd", 0.35), ("csd", 0.7), ("csd", 1.0)]
+
+
+@pytest.mark.parametrize("spec", EXACTNESS_PRIORS, ids=lambda s: s.label())
+@pytest.mark.parametrize("mechanism, t_c", SHARING_RULES)
+def test_uniform_space_estimate_equals_value_path(monkeypatch, spec, mechanism, t_c):
+    import bugshare.simulate as sim
+
+    monkeypatch.setattr(sim, "_CHUNK_ROWS", 700)
+    for n in (1, 2, 5, 10, 12):
+        config = SimulationConfig(mechanism, spec, n=n, samples=2_357, seed=50 + n, t_c=t_c)
+        assert estimate(config) == _fresh_arrays_estimate(config)
+
+
+@pytest.mark.parametrize("spec", EXACTNESS_PRIORS, ids=lambda s: s.label())
+def test_uniform_space_fallback_rows_equal_value_path(monkeypatch, spec):
+    # a guard band ten million times wider sends many rows to the value path
+    import bugshare.simulate as sim
+
+    monkeypatch.setattr(sim, "_CHUNK_ROWS", 700)
+    monkeypatch.setattr(sim, "PREIMAGE_BAND", 1e-2)
+    fallback_rows = []
+
+    def counted(prior, x):
+        fallback_rows.append(x.shape[0])
+        return _to_values(prior, x)
+
+    monkeypatch.setattr(sim, "_to_values", counted)
+    for mechanism, t_c in SHARING_RULES:
+        for n in (1, 2, 5, 10, 12):
+            config = SimulationConfig(mechanism, spec, n=n, samples=2_357, seed=70 + n, t_c=t_c)
+            assert estimate(config) == _fresh_arrays_estimate(config)
+    assert sum(fallback_rows) > 0
+
+
+def test_uniform_space_kernel_on_the_non_monotone_doubles():
+    import bugshare.simulate as sim
+
+    t_c = 0.2
+    lows = [np.nextafter(PINNED_U, 0.0), PINNED_U]
+    for _ in range(5):
+        lows.append(np.nextafter(lows[-1], 1.0))
+    values_of_lows = _to_values(PINNED, np.array(lows))
+    assert values_of_lows[1] == 0.499999999999
+    assert (values_of_lows[[0, 2, 3, 4, 5]] < 0.499999999999).all()
+    assert values_of_lows[6] == 0.499999999999
+    # nine high uniforms and one of the doubles around PINNED_U per row
+    uniforms = np.full((len(lows), 10), 0.9)
+    uniforms[:, 4] = lows
+    preimages = sim._price_preimages(PINNED, 10, t_c)
+    assert (preimages.below[9] <= lows).all() and (lows < preimages.above[9]).all()
+    got = batch_csd_delays(uniforms, t_c, preimages=preimages)
+    want = batch_csd_delays(_to_values(PINNED, uniforms.copy()), t_c)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    # the tenth value meets its price on the pinned double and not on the next
+    assert got[1][1] == 0.0 and got[1][2] > 0.0
+
+
+@st.composite
+def _priors(draw_):
+    kind = draw_(st.sampled_from(["uniform", "uniform_shifted", "truncnorm"]))
+    if kind == "uniform":
+        return DistributionSpec("uniform", 0.0, draw_(st.floats(0.05, 3.0)))
+    if kind == "uniform_shifted":
+        lo = draw_(st.floats(0.01, 2.0))
+        return DistributionSpec("uniform", lo, lo + draw_(st.floats(0.01, 3.0)))
+    mu = draw_(st.floats(-0.5, 1.5))
+    sigma = draw_(st.floats(0.003, 3.0))
+    try:
+        return DistributionSpec("truncnorm", mu=mu, sigma=sigma)
+    except ValueError:  # no representable mass on [0, 1]
+        return DistributionSpec("truncnorm", mu=0.5, sigma=sigma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=_priors(),
+    n=st.integers(1, 12),
+    t_c=st.sampled_from([0.0, 0.2, 0.35, 0.7, 1.0]),
+)
+@example(spec=PINNED, n=10, t_c=0.2)
+def test_price_preimages_bracket_every_price(spec, n, t_c):
+    """Within 2^14 doubles of each crossing, below the band misses the price and above meets it."""
+    import bugshare.simulate as sim
+    from bugshare.mechanisms import _prices
+
+    preimages = sim._price_preimages(spec, n, t_c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prices = _prices(np.arange(1, n + 1)[:, None], np.array([t_c]))[:, 0]
+    last = np.nextafter(1.0, 0.0).view(np.int64)
+    steps = np.arange(-(2**14), 2**14 + 1)
+    for q, below, above in zip(prices, preimages.below[:, 0], preimages.above[:, 0]):
+        if np.isnan(q):
+            assert below == above == 1.0
+            continue
+        for centre in (below, above):
+            bits = np.unique(np.clip(np.float64(centre).view(np.int64) + steps, 0, last))
+            u = bits.view(np.float64)
+            v = _to_values(spec, u.copy())
+            assert (v[u < below] < q).all()
+            assert (v[u >= above] >= q).all()
 
 
 def test_cs_uniform_two_agents_analytic_anchor():
