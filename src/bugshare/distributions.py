@@ -44,7 +44,9 @@ class DistributionSpec:
         if self.kind == "truncnorm":
             if self.mu is None or self.sigma is None:
                 raise ValueError("truncated normal needs mu and sigma")
-            if self.sigma <= 0.0:
+            if not np.isfinite(self.mu):
+                raise ValueError(f"mu must be finite, got {self.mu}")
+            if not self.sigma > 0.0:  # written so that NaN fails it
                 raise ValueError("sigma must be positive")
             a, b = self._phi_bounds()
             if not b > a:  # the CDF would divide 0 by 0 and sampling would collapse
@@ -100,7 +102,7 @@ class SegmentedDistribution:
 def cdf(spec: DistributionSpec, x):
     """Exact CDF at ``x`` (scalar or array); rejects points outside the support."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < spec.lo) or np.any(arr > spec.hi):
+    if not np.all((arr >= spec.lo) & (arr <= spec.hi)):  # written so that NaN fails it
         raise ValueError(f"x outside support [{spec.lo}, {spec.hi}]")
     if spec.kind == "uniform":
         out = (arr - spec.lo) / (spec.hi - spec.lo)

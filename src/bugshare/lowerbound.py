@@ -57,8 +57,6 @@ from .distributions import DistributionSpec, SegmentedDistribution, discretize
 if TYPE_CHECKING:
     from scipy import sparse
 
-FEASIBILITY_TOL = 1e-7
-
 
 class SolverError(RuntimeError):
     """The LP solver ended without an optimum; the message carries its status."""

@@ -20,17 +20,17 @@ Four allocation rules are implemented:
   group's optimal deadline, which restores strategy-proofness.
 
 All rules are pure functions; ``gcsod_sample`` is pure given its seed.
-cs, csd and csod are scalar code, the fast path for one profile; the Monte
-Carlo kernels of :mod:`bugshare.simulate` use their row-wise array form
-(optimal deadline and k*).  The group rule has two array forms:
+cs, csd and csod sort a profile once, then call ``_deadline`` and
+``_csd_outcome``; the Monte Carlo kernels of :mod:`bugshare.simulate` use
+their row-wise twins.  The group rule has two array forms:
 
 * ``_group_rows`` decides it for many profiles, each under its own coin
   flips, one per column; only the Monte Carlo kernel calls it.
-* ``_sorted_table`` gives each agent's time and payment for one profile
-  under a set of groupings, from one sort and the groupings' ranks.
-  ``gcsod_expected`` and the exact-grouping estimate average it over all
-  2^n groupings; every single-profile call of the rule reads its outcomes
-  off it through ``_agent_table``.
+* ``_sorted_table`` gives each agent's time and payment for one profile,
+  or a stack of them, under a set of groupings, from the sorted values and
+  the groupings' ranks.  ``gcsod_expected`` and the exact-grouping estimate
+  average it over all 2^n groupings; every single-profile call of the rule
+  reads its outcomes off it through ``_agent_table``.
 
 The arrays are agent-major: an (n, rows) array holds one profile per
 column, so each reduction over the agents is an elementwise pass over n
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -190,23 +191,19 @@ def _max_k(sorted_desc: Sequence[float], deadline: float) -> int:
     return best
 
 
-def cs_allocate(profile: TypeProfile) -> Outcome:
-    """Plain cost sharing: the unsold outcome has everyone wait until time 1."""
-    return csd_allocate(profile, 1.0)
+def _deadline(sorted_desc: Sequence[float]) -> float:
+    """Optimal deadline of a descending list, 1/max(k*v_(k)) capped at 1.
 
-
-def csd_allocate(profile: TypeProfile, t_c: float) -> Outcome:
-    """Cost sharing with a fixed deadline.
-
-    When no group of k agents is willing to pay 1/k for the window [0, t_c],
-    the bug is not sold but everyone is still released at t_c.  For t_c < 1
-    that outcome breaks ex post budget balance by construction; the audit
-    module is the place that flags it.
+    Bit for bit min(1, min over positive v_(k) of 1/(k*v_(k))): the rounded
+    reciprocal is monotone, so the least one is that of the largest product,
+    and products below 1 (zeros too) give reciprocals above the cap.
     """
-    if not 0.0 <= t_c <= 1.0:
-        raise ValueError(f"deadline must lie in [0, 1], got {t_c}")
-    values = profile.values
-    sorted_desc = sorted(values, reverse=True)
+    top = max(map(operator.mul, range(1, len(sorted_desc) + 1), sorted_desc))
+    return 1.0 / max(top, 1.0)
+
+
+def _csd_outcome(values: Sequence[float], sorted_desc: Sequence[float], t_c: float) -> Outcome:
+    """``csd_allocate``'s outcome at ``t_c`` for ``values``, sorted as ``sorted_desc``."""
     k_star = _max_k(sorted_desc, t_c)
     if k_star == 0:
         return Outcome((t_c,) * len(values), (0.0,) * len(values), sold=False)
@@ -219,6 +216,24 @@ def csd_allocate(profile: TypeProfile, t_c: float) -> Outcome:
     return Outcome(times, payments, sold=True)
 
 
+def cs_allocate(profile: TypeProfile) -> Outcome:
+    """Plain cost sharing: the unsold outcome has everyone wait until time 1."""
+    return _csd_outcome(profile.values, sorted(profile.values, reverse=True), 1.0)
+
+
+def csd_allocate(profile: TypeProfile, t_c: float) -> Outcome:
+    """Cost sharing with a fixed deadline.
+
+    When no group of k agents is willing to pay 1/k for the window [0, t_c],
+    the bug is not sold but everyone is still released at t_c.  For t_c < 1
+    that outcome breaks ex post budget balance by construction; the audit
+    module is the place that flags it.
+    """
+    if not 0.0 <= t_c <= 1.0:
+        raise ValueError(f"deadline must lie in [0, 1], got {t_c}")
+    return _csd_outcome(profile.values, sorted(profile.values, reverse=True), t_c)
+
+
 def optimal_deadline(profile: TypeProfile) -> DeadlineResult:
     """Earliest deadline at which some group still covers the unit cost.
 
@@ -228,11 +243,7 @@ def optimal_deadline(profile: TypeProfile) -> DeadlineResult:
     may be 0.
     """
     sorted_desc = sorted(profile.values, reverse=True)
-    earliest = math.inf
-    for k, v in enumerate(sorted_desc, start=1):
-        if v > 0.0:
-            earliest = min(earliest, 1.0 / (k * v))
-    t_star = min(earliest, 1.0)
+    t_star = _deadline(sorted_desc)
     return DeadlineResult(t_star, _max_k(sorted_desc, t_star))
 
 
@@ -242,7 +253,8 @@ def csod_allocate(profile: TypeProfile) -> Outcome:
     Budget balance always holds: the deadline is below 1 only when the
     sharing succeeds, so a failed sale implies everyone waits until 1.
     """
-    return csd_allocate(profile, optimal_deadline(profile).t_star)
+    sorted_desc = sorted(profile.values, reverse=True)
+    return _csd_outcome(profile.values, sorted_desc, _deadline(sorted_desc))
 
 
 def gcsod_allocate(profile: TypeProfile, grouping: Grouping) -> Outcome:
@@ -278,7 +290,7 @@ class _Workspace:
     size.  Fresh (n, rows) temporaries per chunk are handed back to the OS
     when freed and faulted in again on the next chunk; one workspace per
     estimate allocates each array once.  The row-wise helpers require one;
-    ``_sorted_table``, on one profile, calls ``_prices`` without one.
+    ``_sorted_table`` calls ``_prices`` without one.
 
     ``get(key, shape, dtype)`` returns a C-contiguous view of the first
     prod(shape) elements of the flat buffer named ``key``, and grows the
@@ -345,11 +357,7 @@ def _kstar_rows(sorted_desc: np.ndarray, levels: np.ndarray, work: _Workspace) -
 
 
 def _deadline_rows(sorted_desc: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Row-wise ``optimal_deadline`` of agent-major sorted columns, capped at 1.
-
-    min over k of 1/(k*v_(k)) is 1/max(k*v_(k)), bit for bit, because the
-    rounded reciprocal is monotone; capping the maximum at 1 caps the deadline.
-    """
+    """Row-wise ``_deadline`` of agent-major sorted columns: 1/max(k*v_(k)), capped at 1."""
     ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
     products = np.multiply(ks, sorted_desc, out=work.get("products", sorted_desc.shape))
     top = products.max(axis=0)
@@ -501,7 +509,8 @@ def _sorted_table(
     ``(left, rank, left_rank)`` is ``_grouping_ranks`` of (n, cols) groupings
     of those sorted positions; the (n, cols) results have one row per sorted
     position and one column per grouping.  Each side's k-th value is its
-    member of rank k, so no grouping is sorted.
+    member of rank k, so no grouping is sorted.  P profiles as (n, P) sorted
+    columns, against (n, 1, cols) views of the ranks, give (n, P, cols) results.
 
     Precondition: column cols - 1 - c of ``left`` is the complement of
     column c, so the right deadlines are the left ones reversed.  The 2^n
@@ -514,9 +523,9 @@ def _sorted_table(
     price, and the payers are the winners of rank at most k*: k* never
     splits a tie of values, since the tied value past it would qualify k* + 1.
     """
-    v = sorted_desc[:, None]
+    v = sorted_desc[..., None]
     dl = 1.0 / np.maximum((left_rank * v).max(axis=0), 1.0)
-    dr = dl[::-1]
+    dr = dl[..., ::-1]
     own = np.minimum(dl, dr)
     extended = np.maximum(dl, dr)
     meets = v >= _prices(rank, extended)

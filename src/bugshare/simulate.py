@@ -37,8 +37,8 @@ rules it mirrors.  It works on agent-major (n, rows) arrays, so each
 ``batch_*_delays`` kernel takes the sampled (rows, n) block and copies its
 transpose into the workspace once; this module only reduces the decisions
 to the max and sum of the allocation times.  The group rule runs either
-with one sampled coin-flip vector per profile (``monte_carlo``) or with the
-full 2^n grouping enumeration per profile (``exact_grouping``).
+with one sampled coin-flip vector per profile (``monte_carlo``) or over all
+2^n groupings, for a block of profiles at once (``exact_grouping``).
 
 ``reproduce_table`` assembles the benchmark grid: expected max/sum delay of
 the plain and group cost-sharing rules plus the two LP lower bounds, for
@@ -290,19 +290,20 @@ def batch_gcsod_delays(
 
 
 def _exact_grouping_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-profile exact expectations over all groupings of (max, sum) delay."""
-    # max and sum over the agents do not depend on their order, so the
-    # sorted-space table serves as it is
-    sorted_desc = np.sort(values, axis=1)[:, ::-1]
-    groupings = _sorted_groupings(values.shape[1])
-    rows = values.shape[0]
-    mx = np.empty(rows)
-    sm = np.empty(rows)
-    for r in range(rows):
-        times, _ = _sorted_table(sorted_desc[r], *groupings)
-        mx[r] = times.max(axis=0).mean()
-        sm[r] = times.sum(axis=0).mean()
-    return mx, sm
+    """Per-profile exact expectations over all groupings of (max, sum) delay.
+
+    One ``_sorted_table`` call serves a block of max(1, 4096 // 2^n) profiles,
+    sorted: max and sum over the agents do not depend on their order.
+    """
+    groupings = [g[:, None, :] for g in _sorted_groupings(values.shape[1])]
+    sorted_desc = np.sort(values, axis=1)[:, ::-1].T
+    block = max(1, 4096 >> values.shape[1])
+    delays = np.empty((2, values.shape[0]))
+    for start in range(0, values.shape[0], block):
+        times, _ = _sorted_table(sorted_desc[:, start : start + block], *groupings)
+        # mean: per profile, the sum over its 2^n groupings over their count
+        delays[:, start : start + block] = times.max(axis=0).mean(1), times.sum(axis=0).mean(1)
+    return delays[0], delays[1]
 
 
 def estimate(config: SimulationConfig) -> SimulationReport:
@@ -385,12 +386,10 @@ def reproduce_table(H: int = 100, samples: int = 1_000_000, seed: int = 0) -> li
                     ("sum", report.expected_sum_delay, report.standard_error_sum),
                 ):
                     records.append(TableRow(label, n, mech, objective, value, err))
-            records.append(
-                TableRow(label, n, "lower_bound", "max", max_delay_lower_bound(spec, n, H), None)
-            )
-            records.append(
-                TableRow(label, n, "lower_bound", "sum", sum_delay_lower_bound(spec, n, H), None)
-            )
+            records += [
+                TableRow(label, n, "lower_bound", "max", max_delay_lower_bound(spec, n, H), None),
+                TableRow(label, n, "lower_bound", "sum", sum_delay_lower_bound(spec, n, H), None),
+            ]
     return records
 
 
@@ -398,17 +397,9 @@ def table_to_csv(records: list[TableRow]) -> str:
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(["distribution", "n", "mechanism", "objective", "value", "stderr"])
-    for row in records:
-        writer.writerow(
-            [
-                row.distribution,
-                row.n,
-                row.mechanism,
-                row.objective,
-                f"{row.value:.6f}",
-                "" if row.stderr is None else f"{row.stderr:.6f}",
-            ]
-        )
+    for r in records:
+        stderr = "" if r.stderr is None else f"{r.stderr:.6f}"
+        writer.writerow([r.distribution, r.n, r.mechanism, r.objective, f"{r.value:.6f}", stderr])
     return buf.getvalue()
 
 

@@ -58,6 +58,10 @@ DERIVED_SIM_EXPECTATIONS = {("N(0.5,0.4)", 1): 1.00}
 
 EXAMPLE_PROFILE = TypeProfile((0.9, 0.8, 0.26, 0.26))
 
+# Agreement of two LP optima (HiGHS', or the slack form's and the dense
+# oracle's), within the solver's own 1e-7 feasibility and optimality tolerances.
+FEASIBILITY_TOL = 1e-7
+
 # Values whose 1/(k*t) prices and deadlines coincide, so that ties between
 # agents, ties between the two sides' deadlines and values landing exactly on
 # a price are common.  0.73 lands one ulp below its own price 1/(2t) at the

@@ -261,6 +261,15 @@ def test_lowerbound_rejects_bad_distribution(capsys):
         assert dist in err
 
 
+def test_lowerbound_rejects_a_nan_sigma(capsys):
+    code, out, err = _run_capture(
+        capsys, ["lowerbound", "--dist", "N(0.5,nan)", "--n", "2", "--objective", "sum"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "sigma must be positive" in err
+
+
 @pytest.mark.parametrize("objective", ["max", "sum"])
 def test_lowerbound_reports_a_solver_refusal_without_traceback(capsys, monkeypatch, objective):
     def refuse(*args, **kwargs):

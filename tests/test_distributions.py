@@ -54,6 +54,18 @@ def test_spec_validation():
             DistributionSpec(kind="truncnorm", mu=mu, sigma=0.1)
 
 
+@pytest.mark.parametrize("text", ["N(0.5,nan)", "N(0.5,-0.2)", "N(0.5,0)"])
+def test_parse_rejects_a_sigma_that_is_not_positive(text):
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        DistributionSpec.parse(text)
+
+
+@pytest.mark.parametrize("text", ["N(nan,0.2)", "N(inf,0.2)", "N(-inf,0.2)"])
+def test_parse_rejects_a_mu_that_is_not_finite(text):
+    with pytest.raises(ValueError, match="mu must be finite"):
+        DistributionSpec.parse(text)
+
+
 # ------------------------------------------------------------------------ cdf
 
 
@@ -76,6 +88,15 @@ def test_cdf_rejects_outside_support():
         cdf(UNIFORM, -0.1)
     with pytest.raises(ValueError):
         cdf(NORMAL_02, 1.1)
+
+
+@pytest.mark.parametrize("spec", [UNIFORM, NORMAL_02])
+def test_cdf_rejects_nan(spec):
+    with pytest.raises(ValueError, match="x outside support"):
+        cdf(spec, float("nan"))
+    with pytest.raises(ValueError, match="x outside support"):
+        cdf(spec, np.array([0.25, np.nan, 0.75]))
+    assert cdf(spec, np.array([0.0, 0.5, 1.0])).shape == (3,)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))

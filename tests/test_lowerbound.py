@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from bugshare import lowerbound
 from bugshare.distributions import DistributionSpec, discretize
 from bugshare.lowerbound import (
-    FEASIBILITY_TOL,
     SolverError,
     _arrays,
     _max_delay_search,
@@ -18,6 +17,7 @@ from bugshare.lowerbound import (
 )
 
 from helpers import (
+    FEASIBILITY_TOL,
     dense_common_constraints,
     dense_sum_bound,
     dense_truncation_optima,

@@ -245,6 +245,27 @@ def test_optimal_deadline_monotone_in_single_report(values, agent, bump):
     assert optimal_deadline(raised).t_star <= optimal_deadline(profile).t_star
 
 
+_deadline_values = st.one_of(st.sampled_from(TIE_GRID), st.floats(0.0, 1.0), st.floats(1.0, 1e9))
+_deadline_profiles = st.integers(1, 12).flatmap(
+    lambda n: st.one_of(st.lists(_deadline_values, min_size=n, max_size=n), st.just([0.0] * n))
+)
+
+
+@given(_deadline_profiles)
+@settings(max_examples=300, deadline=None)
+def test_csod_is_csd_at_the_min_of_reciprocals_deadline(values):
+    profile = TypeProfile(tuple(values))
+    deadline = optimal_deadline(profile)
+    assert csod_allocate(profile) == csd_allocate(profile, deadline.t_star)
+    # the deadline's definition: the least 1/(k*v_(k)) over positive values,
+    # capped at 1; the rule computes it as 1/max(k*v_(k)) and must match it
+    earliest = 1.0
+    for k, v in enumerate(sorted(values, reverse=True), start=1):
+        if v > 0.0:
+            earliest = min(earliest, 1.0 / (k * v))
+    assert deadline.t_star == earliest
+
+
 # -------------------------------------------------------------- csod_allocate
 
 

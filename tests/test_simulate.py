@@ -540,6 +540,21 @@ def test_gcsod_exact_grouping_matches_enumeration_per_profile():
         assert sm[row] == pytest.approx(exp.sum_delay, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gcsod_exact_grouping_blocks_match_gcsod_expected(n):
+    # the estimate stacks up to 4096 // 2^n profiles into one sorted-rank
+    # table; 45 rows is no multiple of any block size above 1, so the last
+    # block is short, and every profile must get its own figures exactly
+    from bugshare.simulate import _exact_grouping_delays
+
+    rng = np.random.default_rng(100 + n)
+    for values in (rng.random((45, n)), rng.choice(TIE_GRID, (45, n))):
+        mx, sm = _exact_grouping_delays(values)
+        for row in range(45):
+            exp = gcsod_expected(TypeProfile(tuple(values[row])))
+            assert (mx[row], sm[row]) == (exp.max_delay, exp.sum_delay), row
+
+
 def test_gcsod_modes_agree_within_noise():
     exact = estimate(
         SimulationConfig("gcsod", UNIFORM, n=6, samples=20_000, seed=6, mode="exact_grouping")
