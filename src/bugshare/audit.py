@@ -28,6 +28,7 @@ from .mechanisms import (
     QUALIFY_TOL,
     Outcome,
     TypeProfile,
+    _check_agent,
     csod_allocate,
     gcsod_expected,
 )
@@ -238,6 +239,7 @@ def myerson_payment(
     """
     if integration_grid_size < 1:
         raise ValueError("integration grid must have at least one cell")
+    _check_agent(agent, len(profile))
     value = profile.values[agent]
     t_truth = mechanism(profile).times[agent]
     if value == 0.0:

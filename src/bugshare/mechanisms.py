@@ -24,8 +24,8 @@ cs, csd and csod sort a profile once, then call ``_deadline`` and
 ``_csd_outcome``; the Monte Carlo kernels of :mod:`bugshare.simulate` use
 their row-wise twins.  The group rule has two array forms:
 
-* ``_group_rows`` decides it for many profiles, each under its own coin
-  flips, one per column; only the Monte Carlo kernel calls it.
+* ``_group_rows`` decides it for a sampled block of profiles, each under
+  its own coin flips; only the Monte Carlo kernel calls it.
 * ``_sorted_table`` gives each agent's time and payment for one profile,
   or a stack of them, under a set of groupings, from the sorted values and
   the groupings' ranks.  ``gcsod_expected`` and the exact-grouping estimate
@@ -38,7 +38,8 @@ contiguous rows instead of a short loop per profile.  ``_group_rows`` sorts
 each profile once, with the right side's values negated, and reads both
 sides' descending orders off that one sort.  The row-wise helpers write
 their (n, rows) scratch into a ``_Workspace``, so that a Monte Carlo
-estimate allocates it once for all its chunks.
+estimate allocates it once for all its chunks; each key is named by one
+module, and ``_group_rows`` makes its agent-major copies itself.
 
 The column sort (``_sort_columns``) is a compare-exchange network, built
 once per n: each comparator is an elementwise min and max of two agent
@@ -94,13 +95,20 @@ class TypeProfile:
     def replace(self, agent: int, value: float) -> "TypeProfile":
         """Profile with ``agent``'s report swapped out (used by the audits).
 
-        Only the new value is checked; the others passed the check already.
+        Only the agent and the new value are checked; the rest passed already.
         """
+        _check_agent(agent, len(self.values))
         vals = list(self.values)
         vals[agent] = _valuation(value)
         profile = object.__new__(TypeProfile)
         object.__setattr__(profile, "values", tuple(vals))
         return profile
+
+
+def _check_agent(agent: int, n: int) -> None:
+    """``IndexError`` unless ``agent`` is in range(n): a negative index is no agent."""
+    if not 0 <= agent < n:
+        raise IndexError(f"agent {agent} is out of range for {n} agents")
 
 
 def _valuation(value: float) -> float:
@@ -295,10 +303,8 @@ class _Workspace:
     ``get(key, shape, dtype)`` returns a C-contiguous view of the first
     prod(shape) elements of the flat buffer named ``key``, and grows the
     buffer when it is too small; so a short last chunk sees only its own
-    rows.  Each key has one dtype.  A function writes a key only once no
-    caller still needs what it holds, so an array that is read only before
-    the key's next write may borrow it: the Monte Carlo coin uniforms and
-    the group rule's agent-major values borrow "products".  No array that a
+    rows.  Each key has one dtype and is named by one module only, which
+    writes it only once nothing it holds is still needed.  No array that a
     kernel returns lives here, so its results outlast the next call.
     """
 
@@ -311,6 +317,17 @@ class _Workspace:
         if flat is None or flat.size < size or flat.dtype != dtype:
             flat = self._flat[key] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
+
+
+def _agent_major(rows: np.ndarray, key: str, work: _Workspace, dtype=np.float64) -> np.ndarray:
+    """``work``'s (n, rows) array ``key`` holding a copy of the (rows, n) block ``rows``.
+
+    A plain transpose copy: an arithmetic op forced to C order on the
+    transposed view costs over ten times as much.
+    """
+    block = work.get(key, rows.shape[::-1], dtype)
+    np.copyto(block, rows.T)
+    return block
 
 
 def _prices(ks: np.ndarray, deadlines: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
@@ -388,7 +405,7 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _sort_columns(a: np.ndarray, low: np.ndarray) -> np.ndarray:
+def _sort_columns(a: np.ndarray, work: _Workspace) -> np.ndarray:
     """Sort each column of the agent-major (n, rows) block ``a`` ascending, in place.
 
     This walks a compare-exchange network: each comparator (i, j) is an
@@ -396,8 +413,9 @@ def _sort_columns(a: np.ndarray, low: np.ndarray) -> np.ndarray:
     rows of a C-contiguous block, where ``np.sort`` along axis 0 makes one
     tiny sort per column.  Equal values come back in any order, and a
     column's 0.0 and -0.0 may trade signs; no caller tells them apart.
-    ``low`` is a scratch row of ``a``'s row shape.  Returns ``a``.
+    The scratch row comes from ``work``.  Returns ``a``.
     """
+    low = work.get("low", a.shape[1:])
     for i, j in _sorting_network(a.shape[0]):
         np.minimum(a[i], a[j], out=low)
         np.maximum(a[i], a[j], out=a[j])
@@ -408,15 +426,13 @@ def _sort_columns(a: np.ndarray, low: np.ndarray) -> np.ndarray:
 def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace):
     """Row-wise decision of ``gcsod_allocate`` under the coin flips ``left``.
 
-    Both arrays are agent-major, C-contiguous (n, rows) blocks with one
+    Both arrays are sampled (rows, n) blocks, one profile per row, and
+    neither is written.  Their agent-major copies in ``work`` hold one
     profile per column, so that the sort and every step after it work on
-    contiguous rows.  Returns ``(left_wins, sold, own, extended, k_star)``:
-    which side wins (exact ties favour the left), whether the bug sells, the
-    winner's own deadline, the loser's deadline under which the winner
-    shares, and the winner's sharing-set size.  The (n, rows) scratch comes
-    from ``work``.  Neither input is written, except that a caller may hold
-    ``values`` in ``work``'s "products": it is read only before that
-    buffer's first write.
+    contiguous agent rows.  Returns ``(sold, own, extended, k_star, n_win)``:
+    whether the bug sells, the winner's own deadline, the loser's deadline
+    under which the winner shares, the winner's sharing-set size and the
+    winning side's size.  Exact ties favour the left.
 
     One sort serves both sides.  Right members are negated (multiplied by -1,
     which is exact), so each ascending column holds the right side first,
@@ -433,13 +449,15 @@ def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace):
     left side wins a tie when one of its members meets its price, and a tie
     sells when either side does.
     """
-    shape = values.shape
+    left = _agent_major(left, "left", work, bool)
+    shape = left.shape
     ks = np.arange(1, shape[0] + 1)[:, None]
-    # (2 * left - 1) * values, the same bits as values * (2 * left - 1)
+    # (2 * left - 1) * values, the same bits as values * (2 * left - 1); the
+    # values are read only here, before the deadlines' products overwrite them
     s = np.multiply(left, 2.0, out=work.get("signed", shape))
     s -= 1.0
-    s *= values
-    s = _sort_columns(s, work.get("low", shape[1:]))
+    s *= _agent_major(values, "products", work)
+    s = _sort_columns(s, work)
     l_sorted = s[::-1]
     r_sorted = np.negative(s, out=work.get("negated", shape))
     dl = _deadline_rows(l_sorted, work)
@@ -456,7 +474,10 @@ def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace):
     meets &= left_wins
     other &= ~left_wins
     meets |= other
-    return left_wins, sold, own, extended, _largest_k(meets, work)
+    k_star = _largest_k(meets, work)
+    # the flips are dead after this count, so the winners' mask overwrites them
+    n_win = np.add.reduce(np.equal(left, left_wins, out=left), axis=0, dtype=k_star.dtype)
+    return sold, own, extended, k_star, n_win
 
 
 def _grouping_ranks(left: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,27 +18,23 @@ path.  csod, the group rule and the exact-grouping mode use the values
 themselves, in products and per-row deadlines, and draw them.
 
 One ``estimate`` call holds one workspace (``mechanisms._Workspace``) for
-all its chunks: the draws, the coin flips, the agent-major copies and the
-kernels' (n, rows) scratch are allocated once and rewritten by every chunk.
-Allocated afresh per chunk, a dozen such arrays per group-rule chunk were
-handed back to the OS when freed and faulted in again on the next chunk,
-about 1.5 GB of fresh pages per benchmark pass.  The last, shorter chunk
-works on views of the first rows x n elements of each buffer, so it sees
-none of the rows of the chunk before it.  The kernels' results are new
-arrays, and a kernel called without a workspace builds its own.
-
-The kernels sort each chunk once, agent-major, with
-``mechanisms._sort_columns``: a compare-exchange network whose comparators
-are elementwise passes over whole agent rows.
+all its chunks, so the draws, the coin flips and the kernels' (n, rows)
+arrays are allocated once; fresh per chunk, they were faulted in again on
+every chunk, about 1.5 GB of pages per benchmark pass.  This module names
+only "draws", "flips" and "values"; the coin uniforms go into "draws" and
+are flipped before the values are drawn over them.  The last, shorter
+chunk works on views of the first rows x n elements of each buffer.  The
+kernels' results are new arrays, and a kernel called without a workspace
+builds its own.
 
 The array form of the allocation rules (row-wise deadline, k* and
 group-rule decision) lives in :mod:`bugshare.mechanisms` next to the scalar
-rules it mirrors.  It works on agent-major (n, rows) arrays, so each
-``batch_*_delays`` kernel takes the sampled (rows, n) block and copies its
-transpose into the workspace once; this module only reduces the decisions
-to the max and sum of the allocation times.  The group rule runs either
-with one sampled coin-flip vector per profile (``monte_carlo``) or over all
-2^n groupings, for a block of profiles at once (``exact_grouping``).
+rules it mirrors, on agent-major (n, rows) copies of the sampled (rows, n)
+blocks, each sorted once by ``mechanisms._sort_columns``, a network of
+elementwise passes over whole agent rows.  This module only reduces the
+decisions to the max and sum of the allocation times.  The group rule runs
+either with one sampled coin-flip vector per profile (``monte_carlo``) or
+over all 2^n groupings, for a block of profiles at once (``exact_grouping``).
 
 ``reproduce_table`` assembles the benchmark grid: expected max/sum delay of
 the plain and group cost-sharing rules plus the two LP lower bounds, for
@@ -59,6 +55,7 @@ from .distributions import DistributionSpec, _to_values, draw, preimage
 from .lowerbound import max_delay_lower_bound, sum_delay_lower_bound
 from .mechanisms import (
     _Workspace,
+    _agent_major,
     _deadline_rows,
     _group_rows,
     _kstar_rows,
@@ -146,24 +143,9 @@ def _priced_kstar(sorted_desc: np.ndarray, deadlines: np.ndarray, work: _Workspa
     return _kstar_rows(sorted_desc, _prices(ks, deadlines, work), work)
 
 
-def _agent_major(rows: np.ndarray, key: str, work: _Workspace, dtype=np.float64) -> np.ndarray:
-    """``work``'s (n, rows) array ``key`` holding a copy of the (rows, n) block ``rows``.
-
-    A plain transpose copy: an arithmetic op forced to C order on the
-    transposed view costs over ten times as much.
-    """
-    block = work.get(key, rows.shape[::-1], dtype)
-    np.copyto(block, rows.T)
-    return block
-
-
 def _sorted_desc(values: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Agent-major (n, rows) sorted copy of (rows, n) ``values``, columns descending.
-
-    The copy is sorted ascending in ``work`` and returned as a reversed view.
-    """
-    block = _agent_major(values, "values", work)
-    return _sort_columns(block, work.get("low", block.shape[1:]))[::-1]
+    """Agent-major (n, rows) copy of (rows, n) ``values``, a reversed view of its ascending sort."""
+    return _sort_columns(_agent_major(values, "values", work), work)[::-1]
 
 
 # Half-width of the guard band around each price, relative above 1.
@@ -264,20 +246,13 @@ def batch_gcsod_delays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(max delay, sum delay) per row of the group rule under given coin flips."""
     work = _Workspace() if work is None else work
-    n = values.shape[1]
-    left = _agent_major(left, "left", work, bool)
-    # ``_group_rows`` reads the values only to sign them, before its first
-    # products, so they borrow that buffer
-    left_wins, sold, own, extended, k_star = _group_rows(
-        _agent_major(values, "products", work), left, work
-    )
+    sold, own, extended, k_star, n_win = _group_rows(values, left, work)
     # the tail works branch-free, on counts of k*'s small unsigned type: a
     # select on a coin-flip mask mispredicts about every other row.  Each
     # float step is the IEEE operation of the plain formula: the counts
     # convert exactly, and the deadlines lie in (0, 1], so multiplying one by
-    # a mask gives it or +0.0.  ``left`` is dead after the count, so the
-    # winners' mask overwrites it.
-    n_win = np.add.reduce(np.equal(left, left_wins, out=left), axis=0, dtype=k_star.dtype)
+    # a mask gives it or +0.0.
+    n = values.shape[1]
     n_lose = n - n_win
     unsold = ~sold
     mx = np.multiply(extended, n_win > k_star)
@@ -289,14 +264,14 @@ def batch_gcsod_delays(
     return mx, sm
 
 
-def _exact_grouping_delays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exact_grouping_delays(values: np.ndarray, work: _Workspace | None = None):
     """Per-profile exact expectations over all groupings of (max, sum) delay.
 
     One ``_sorted_table`` call serves a block of max(1, 4096 // 2^n) profiles,
     sorted: max and sum over the agents do not depend on their order.
     """
     groupings = [g[:, None, :] for g in _sorted_groupings(values.shape[1])]
-    sorted_desc = np.sort(values, axis=1)[:, ::-1].T
+    sorted_desc = _sorted_desc(values, _Workspace() if work is None else work)
     block = max(1, 4096 >> values.shape[1])
     delays = np.empty((2, values.shape[0]))
     for start in range(0, values.shape[0], block):
@@ -334,18 +309,16 @@ def estimate(config: SimulationConfig) -> SimulationReport:
                 mx, sm = batch_cs_delays(uniforms, work, preimages=preimages)
             else:
                 mx, sm = batch_csd_delays(uniforms, config.t_c, work, preimages=preimages)
+        elif config.mechanism == "csod":
+            mx, sm = batch_csod_delays(draw(config.spec, shape, rng_values, out=block), work)
+        elif config.mode == "exact_grouping":
+            mx, sm = _exact_grouping_delays(draw(config.spec, shape, rng_values, out=block), work)
         else:
+            # the coin uniforms are dead once flipped, so the values overwrite them
+            coins = rng_coins.random(shape, out=block)
+            left = np.less(coins, 0.5, out=work.get("flips", shape, bool))
             values = draw(config.spec, shape, rng_values, out=block)
-            if config.mechanism == "csod":
-                mx, sm = batch_csod_delays(values, work)
-            elif config.mode == "exact_grouping":
-                mx, sm = _exact_grouping_delays(values)
-            else:
-                # the uniforms are dead once flipped, so they borrow a buffer
-                # that the kernel only writes later
-                coins = rng_coins.random(shape, out=work.get("products", shape))
-                left = np.less(coins, 0.5, out=work.get("flips", shape, bool))
-                mx, sm = batch_gcsod_delays(values, left, work)
+            mx, sm = batch_gcsod_delays(values, left, work)
         total += (mx.sum(), sm.sum())
         total_sq += ((mx * mx).sum(), (sm * sm).sum())
         remaining -= shape[0]

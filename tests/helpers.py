@@ -163,12 +163,13 @@ def table_from_csv(text: str) -> list[TableRow]:
     ]
 
 
-def lp_grid_oracle(masses, n, step=1e-3):
-    """Brute-force optimum of the H=2 sum-delay model on a step grid.
+def lp_grid_slice(masses, n, t0, step=1e-3):
+    """Brute-force optimum of the H=2 sum-delay model at one t_0, on a step grid.
 
-    Scans t_0 slices with a vectorized (t_1, t_2) grid; payments sit at their
-    sandwich extremes (the loosest feasible choice) and the unsold weight C
-    is checked against its own grid.  Only H=2 is supported.
+    Scans a vectorized (t_1, t_2) grid; payments sit at their sandwich
+    extremes (the loosest feasible choice) and the unsold weight C is
+    checked against its own grid.  Returns inf when nothing in the slice is
+    feasible.  Only H=2 is supported.
     """
     if len(masses) != 2:
         raise ValueError("oracle only handles H = 2")
@@ -179,25 +180,33 @@ def lp_grid_oracle(masses, n, step=1e-3):
     t1 = axis[:, None]
     t2 = axis[None, :]
     objective = w1 * t1 + w2 * t2
+    chain = (t1 <= t0) & (t2 <= t1)
+    # sandwich extremes given the chain ordering (p_1 lower bound is 0)
+    up1 = delta * (t0 - t1)
+    up2 = delta * ((t0 - t2) + (t1 - t2))
+    # budget interval that some C in [0, alloc_cap] can satisfy:
+    #   w1*p_0 + w2*p_1 <= (1-C)/n <= w1*p_1 + w2*p_2  with p_0 = 0
+    rhs_max = w1 * up1 + w2 * up2
+    alloc_cap = np.minimum(w1 * t0 + w2 * t1, 1.0)
+    c_lo = np.maximum(0.0, 1.0 - n * rhs_max)
+    c_hi = alloc_cap
+    # snap to the C grid: a grid point must fall inside [c_lo, c_hi]
+    c_feasible = np.ceil(c_lo / step - 1e-9) * step <= c_hi + 1e-12
+    feasible = chain & c_feasible
+    return float(objective[feasible].min()) if feasible.any() else np.inf
 
-    best = np.inf
-    for t0 in axis:
-        chain = (t1 <= t0) & (t2 <= t1)
-        # sandwich extremes given the chain ordering (p_1 lower bound is 0)
-        up1 = delta * (t0 - t1)
-        up2 = delta * ((t0 - t2) + (t1 - t2))
-        # budget interval that some C in [0, alloc_cap] can satisfy:
-        #   w1*p_0 + w2*p_1 <= (1-C)/n <= w1*p_1 + w2*p_2  with p_0 = 0
-        rhs_max = w1 * up1 + w2 * up2
-        alloc_cap = np.minimum(w1 * t0 + w2 * t1, 1.0)
-        c_lo = np.maximum(0.0, 1.0 - n * rhs_max)
-        c_hi = alloc_cap
-        # snap to the C grid: a grid point must fall inside [c_lo, c_hi]
-        c_feasible = np.ceil(c_lo / step - 1e-9) * step <= c_hi + 1e-12
-        feasible = chain & c_feasible
-        if feasible.any():
-            best = min(best, float(objective[feasible].min()))
-    return best
+
+def lp_grid_oracle(masses, n, step=1e-3):
+    """Brute-force optimum of the H=2 sum-delay model on a step grid: the t_0 = 1 slice.
+
+    No scan over t_0 is needed.  Every constraint of ``lp_grid_slice``
+    loosens as t_0 grows: the chain bound t_1 <= t_0, both sandwich extremes
+    (so c_lo falls) and the allocation cap c_hi all move one way, and the
+    snapped test is monotone in c_lo and c_hi.  So each slice's feasible set
+    holds every smaller t_0's, while the objective does not depend on t_0,
+    and the largest grid value, t_0 = 1, gives the whole scan's minimum.
+    """
+    return lp_grid_slice(masses, n, 1.0, step)
 
 
 def dense_arrays(H: int, delta: float) -> np.ndarray:

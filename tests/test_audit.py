@@ -279,6 +279,15 @@ def test_myerson_zero_value_agent():
     assert myerson_payment(cs_allocate, 1, TypeProfile((0.9, 0.0)), 1000) == 0.0
 
 
+@pytest.mark.parametrize("agent", [-1, 3])
+def test_myerson_rejects_an_agent_out_of_range(agent):
+    # -1 is a valid list index but no agent; a zero value, which returns
+    # early, must not skip the check
+    for values in ((0.9, 0.8, 0.26), (0.9, 0.8, 0.0)):
+        with pytest.raises(IndexError, match=f"agent {agent} .* 3 agents"):
+            myerson_payment(cs_allocate, agent, TypeProfile(values), 100)
+
+
 def test_myerson_csd_example_payment():
     payment = myerson_payment(
         lambda p: csd_allocate(p, 0.9), 1, EXAMPLE_PROFILE, 10_000
@@ -295,7 +304,10 @@ def test_myerson_csd_example_payment():
 )
 def test_myerson_matches_charged_payment(label, rule, deadline):
     # payment-identity oracle against the implemented payments, one random
-    # agent per profile
+    # agent per profile.  The agent's allocation time is a step of height
+    # ``deadline`` at its threshold, and the midpoint rule places that step
+    # within half a cell of width value/grid, so the oracle errs by at most
+    # deadline * value / (2 * grid), plus rounding
     grid_size = 10_000
     rng = np.random.default_rng(61)
     for _ in range(1000):
@@ -303,7 +315,8 @@ def test_myerson_matches_charged_payment(label, rule, deadline):
         agent = int(rng.integers(2))
         oracle = myerson_payment(rule, agent, profile, grid_size)
         charged = rule(profile).payments[agent]
-        assert abs(oracle - charged) <= 2.0 / grid_size
+        bound = deadline * profile.values[agent] / (2 * grid_size) + 1e-12
+        assert abs(oracle - charged) <= bound
 
 
 # ------------------------------------------------------------------- alpha

@@ -23,6 +23,7 @@ from helpers import (
     dense_truncation_optima,
     exhaustive_max_delay_bound,
     lp_grid_oracle,
+    lp_grid_slice,
 )
 
 UNIFORM = DistributionSpec.parse("U(0,1)")
@@ -259,10 +260,13 @@ def test_bounds_without_presolve_match_the_presolved_solver(monkeypatch):
 
 def test_sum_bound_brute_force_oracle_h2():
     # grid search over the H=2 model (coarse step here; the acceptance suite
-    # runs the full 1e-3 resolution)
-    lp_value = sum_delay_lower_bound(UNIFORM, 1, 2)
-    oracle = lp_grid_oracle(discretize(UNIFORM, 2).masses, n=1, step=5e-3)
-    assert lp_value == pytest.approx(oracle, abs=2e-3)
+    # runs the 1e-3 resolution).  The oracle is the t_0 = 1 slice, which the
+    # full scan over t_0 must reproduce exactly
+    masses = discretize(UNIFORM, 2).masses
+    oracle = lp_grid_oracle(masses, n=1, step=5e-3)
+    full_scan = min(lp_grid_slice(masses, 1, t0, 5e-3) for t0 in np.arange(201) / 200)
+    assert full_scan == oracle
+    assert sum_delay_lower_bound(UNIFORM, 1, 2) == pytest.approx(oracle, abs=2e-3)
 
 
 def test_sum_bound_known_values_h100():

@@ -59,9 +59,17 @@ def test_profile_replace_rejects_bad_value(bad):
         TypeProfile((0.5, 0.6)).replace(1, bad)
 
 
+@pytest.mark.parametrize("agent", [-1, 3, -4])
+def test_profile_replace_rejects_an_agent_out_of_range(agent):
+    # -1 is a valid list index but no agent, and the error names both numbers
+    profile = TypeProfile((0.9, 0.8, 0.26))
+    with pytest.raises(IndexError, match=f"agent {agent} is out of range for 3 agents"):
+        profile.replace(agent, 0.5)
+
+
 def test_profile_replace_equals_a_fresh_profile():
     profile = TypeProfile((0.5, 0.6, 0.7))
-    for agent, value in ((1, 1), (0, np.float64(0.25)), (-1, 0.0)):
+    for agent, value in ((1, 1), (0, np.float64(0.25)), (2, 0.0)):
         replaced = profile.replace(agent, value)
         values = list(profile.values)
         values[agent] = value
@@ -100,7 +108,7 @@ def test_sort_columns_sorts_every_zero_one_column():
     for n in range(1, 17):
         columns = ((np.arange(2**n) >> np.arange(n)[:, None]) & 1).astype(float)
         expected = np.sort(columns, axis=0)
-        assert np.array_equal(_sort_columns(columns, np.empty(2**n)), expected), n
+        assert np.array_equal(_sort_columns(columns, _Workspace()), expected), n
 
 
 # The group rule sorts values with its right side negated, so its columns
@@ -109,11 +117,11 @@ def test_sort_columns_sorts_every_zero_one_column():
 def test_group_rows_match_np_sort_bit_for_bit():
     rng = np.random.default_rng(21)
     for n in range(1, 21):
-        values = rng.choice(TIE_GRID, (n, 400))
-        left = rng.random((n, 400)) < 0.5
+        values = rng.choice(TIE_GRID, (400, n))
+        left = rng.random((400, n)) < 0.5
         network = _group_rows(values, left, _Workspace())
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mechanisms, "_sort_columns", lambda a, low: np.sort(a, axis=0))
+            mp.setattr(mechanisms, "_sort_columns", lambda a, work: np.sort(a, axis=0))
             reference = _group_rows(values, left, _Workspace())
         for got, want in zip(network, reference):
             assert got.tobytes() == want.tobytes(), n

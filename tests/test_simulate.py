@@ -1,5 +1,6 @@
 """Delay estimation: kernel agreement, determinism, anchors, and the table."""
 
+import ast
 import dataclasses
 from pathlib import Path
 
@@ -362,6 +363,32 @@ def test_kernels_sharing_a_workspace_keep_earlier_results_and_inputs():
             assert np.array_equal(got, fresh)
         for a, kept in zip(first + second, kept_inputs):
             assert np.array_equal(a, kept)
+
+
+def _workspace_keys(module) -> set[str]:
+    """The string keys that ``module`` passes to ``.get(...)`` and ``_agent_major(...)``."""
+    keys = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "get") or (
+            isinstance(func, ast.Name) and func.id == "_agent_major"
+        ):
+            strings = [a for a in node.args if isinstance(a, ast.Constant)]
+            keys |= {a.value for a in strings if isinstance(a.value, str)}
+    return keys
+
+
+def test_each_workspace_key_belongs_to_one_module():
+    # a key that two modules write lets one overwrite what the other still
+    # reads; within one module its order of writes can be read off the code
+    from bugshare import mechanisms, simulate
+
+    simulate_keys = _workspace_keys(simulate)
+    mechanisms_keys = _workspace_keys(mechanisms)
+    assert "draws" in simulate_keys and "signed" in mechanisms_keys
+    assert not simulate_keys & mechanisms_keys, simulate_keys & mechanisms_keys
 
 
 # ------------------------------------------------ cs and csd in uniform space
