@@ -263,7 +263,7 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_UsageError, ValueError, SolverError) as exc:
+    except (_UsageError, ValueError, OverflowError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

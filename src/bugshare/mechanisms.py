@@ -32,6 +32,9 @@ their row-wise twins.  The group rule has two array forms:
   average it over all 2^n groupings; every single-profile call of the rule
   reads its outcomes off it through ``_agent_table``.
 
+Neither form carries a sold flag: the rule fails to sell only in a tie at
+deadline 1 with k* = 0, where every time is already 1.
+
 The arrays are agent-major: an (n, rows) array holds one profile per
 column, so each reduction over the agents is an elementwise pass over n
 contiguous rows instead of a short loop per profile.  ``_group_rows`` sorts
@@ -84,7 +87,8 @@ class TypeProfile:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(_valuation(v) for v in self.values)
+        vals = tuple(self.values)
+        vals = tuple(_valuation(v, len(vals)) for v in vals)
         if not vals:
             raise ValueError("a type profile needs at least one agent")
         object.__setattr__(self, "values", vals)
@@ -99,7 +103,7 @@ class TypeProfile:
         """
         _check_agent(agent, len(self.values))
         vals = list(self.values)
-        vals[agent] = _valuation(value)
+        vals[agent] = _valuation(value, len(vals))
         profile = object.__new__(TypeProfile)
         object.__setattr__(profile, "values", tuple(vals))
         return profile
@@ -111,11 +115,14 @@ def _check_agent(agent: int, n: int) -> None:
         raise IndexError(f"agent {agent} is out of range for {n} agents")
 
 
-def _valuation(value: float) -> float:
-    """``value`` as a float, or ``ValueError`` unless it is finite and non-negative."""
+def _valuation(value: float, n: int) -> float:
+    """``value`` as a float, or ``ValueError`` unless it is >= 0 and max(n, 2) * value finite.
+
+    So no k * v (k <= n) overflows and puts t* at 0, nor does 1/t* of a lone agent.
+    """
     v = float(value)
-    if not math.isfinite(v) or v < 0.0:
-        raise ValueError(f"valuations must be finite and non-negative, got {v}")
+    if not math.isfinite(max(n, 2) * v) or v < 0.0:
+        raise ValueError(f"valuations must be finite and non-negative, max(n, 2) * v too, got {v}")
     return v
 
 
@@ -429,10 +436,10 @@ def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace):
     Both arrays are sampled (rows, n) blocks, one profile per row, and
     neither is written.  Their agent-major copies in ``work`` hold one
     profile per column, so that the sort and every step after it work on
-    contiguous agent rows.  Returns ``(sold, own, extended, k_star, n_win)``:
-    whether the bug sells, the winner's own deadline, the loser's deadline
-    under which the winner shares, the winner's sharing-set size and the
-    winning side's size.  Exact ties favour the left.
+    contiguous agent rows.  Returns ``(own, extended, k_star, n_win)``: the
+    winner's own deadline, the loser's deadline under which the winner
+    shares, the winner's sharing-set size and the winning side's size.
+    Exact ties favour the left.
 
     One sort serves both sides.  Right members are negated (multiplied by -1,
     which is exact), so each ascending column holds the right side first,
@@ -446,8 +453,10 @@ def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace):
     the larger, exactly, since at a tie both are the same number.  So the
     tied columns are priced at their common deadline by the k* pass itself,
     and its masks of the members that meet their prices also decide ties: the
-    left side wins a tie when one of its members meets its price, and a tie
-    sells when either side does.
+    left side wins a tie when one of its members meets its price.  No sold
+    flag is needed: an optimal deadline below 1 funds its own side (by the relative
+    ``QUALIFY_TOL`` and finite k*v), so a sale fails only in a tie at 1 where
+    neither side funds, and there own = extended = 1 and k* = 0 give every time 1.
     """
     left = _agent_major(left, "left", work, bool)
     shape = left.shape
@@ -467,17 +476,14 @@ def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace):
     prices = _prices(ks, extended, work)
     meets = np.greater_equal(l_sorted, prices, out=work.get("meets", shape, bool))
     other = np.greater_equal(r_sorted, prices, out=work.get("other", shape, bool))
-    tie = dl == dr
-    left_funds = meets.any(axis=0)
-    left_wins = (dl < dr) | (tie & left_funds)
-    sold = ~tie | left_funds | other.any(axis=0)
+    left_wins = (dl < dr) | ((dl == dr) & meets.any(axis=0))
     meets &= left_wins
     other &= ~left_wins
     meets |= other
     k_star = _largest_k(meets, work)
     # the flips are dead after this count, so the winners' mask overwrites them
     n_win = np.add.reduce(np.equal(left, left_wins, out=left), axis=0, dtype=k_star.dtype)
-    return sold, own, extended, k_star, n_win
+    return own, extended, k_star, n_win
 
 
 def _grouping_ranks(left: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -539,27 +545,25 @@ def _sorted_table(
     and so do the two columns ``[g, ~g]`` of a single grouping g.
 
     The winner's own deadline is the smaller of the two and its extended
-    deadline the larger, and ties are decided by the masks of the k* pass,
-    as in ``_group_rows``.  k* is the largest rank of a winner that meets its
-    price, and the payers are the winners of rank at most k*: k* never
-    splits a tie of values, since the tied value past it would qualify k* + 1.
+    deadline the larger.  One k pass serves both sides: a member's price
+    test reads only its own side's rank and the extended deadline, which
+    the complement column keeps, so the right side's k is the left side's k
+    of the complement, ``k_left[..., ::-1]``.  The left wins a tie when its
+    k is positive; k* is the winner's k, and the payers are the winners of
+    rank at most k*: k* never splits a tie of values, since the tied value
+    past it would qualify k* + 1.  As in ``_group_rows``, no sold flag.
     """
     v = sorted_desc[..., None]
     dl = 1.0 / np.maximum((left_rank * v).max(axis=0), 1.0)
     dr = dl[..., ::-1]
     own = np.minimum(dl, dr)
     extended = np.maximum(dl, dr)
-    meets = v >= _prices(rank, extended)
-    tie = dl == dr
-    left_wins = (dl < dr) | (tie & (meets & left).any(axis=0))
-    sold = ~tie | meets.any(axis=0)
-
+    k_left = (left_rank * (v >= _prices(rank, extended))).max(axis=0)
+    left_wins = (dl < dr) | ((dl == dr) & (k_left > 0))
+    k_star = np.where(left_wins, k_left, k_left[..., ::-1])
     member = left == left_wins
-    k_star = (rank * (member & meets)).max(axis=0)
     payer = member & (rank <= k_star)
-    # an unsold column has k* = 0 and everyone waits until 1
-    times = np.where(member, np.where(sold, extended, 1.0), np.where(sold, own, 1.0))
-    times = np.where(payer, 0.0, times)
+    times = np.where(payer, 0.0, np.where(member, extended, own))
     payments = np.where(payer, 1.0 / np.maximum(k_star, 1), 0.0)
     return times, payments
 
@@ -581,9 +585,7 @@ def _realized(profile: TypeProfile, left: np.ndarray) -> list[Outcome]:
     """The group rule's ``Outcome`` under each column of the groupings ``left``."""
     times, payments = _agent_table(np.array(profile.values), left)
     # a sold outcome collects 1 in total, an unsold one nothing
-    sold = payments.any(axis=0)
-    columns = zip(times.T.tolist(), payments.T.tolist(), sold.tolist())
-    return [Outcome(t, p, sold=s) for t, p, s in columns]
+    return [Outcome(t, p, sold=any(p)) for t, p in zip(times.T.tolist(), payments.T.tolist())]
 
 
 def grouping_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -619,13 +621,12 @@ def gcsod_expected(profile: TypeProfile) -> ExpectedOutcome:
     # A sum over the 2^n columns divided by their count is what mean() computes,
     # without its per-call overhead.
     count = times.shape[1]
-    mean_times = np.empty(len(values))
-    mean_times[order] = times.sum(axis=1) / count
-    mean_payments = np.empty(len(values))
-    mean_payments[order] = payments.sum(axis=1) / count
+    means = np.empty((2, len(values)))
+    means[0, order] = times.sum(axis=1) / count
+    means[1, order] = payments.sum(axis=1) / count
     return ExpectedOutcome(
-        times=tuple(mean_times.tolist()),
-        payments=tuple(mean_payments.tolist()),
+        times=tuple(means[0].tolist()),
+        payments=tuple(means[1].tolist()),
         max_delay=float(times.max(axis=0).sum() / count),
         sum_delay=float(times.sum(axis=0).sum() / count),
     )

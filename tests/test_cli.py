@@ -43,6 +43,15 @@ def test_allocate_csd_requires_deadline(capsys):
     assert "t-c" in err
 
 
+def test_allocate_rejects_an_overflowing_profile(capsys):
+    # 2 * 1e308 overflows: the rule used to sell nothing and release both at time 0
+    code, out, err = _run_capture(
+        capsys, ["allocate", "--mechanism", "csod", "--profile", "1e308,1e308"]
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "finite and non-negative" in err
+
+
 def test_allocate_gcsod_with_grouping(capsys):
     code, out, _ = _run_capture(
         capsys,
@@ -310,6 +319,15 @@ def test_simulate_command_deterministic(capsys):
     assert payload["seed"] == 7
     assert payload["samples_used"] == 20000
     assert abs(payload["expected_max_delay"] - 0.75) < 0.02
+
+
+@pytest.mark.parametrize("n", ["1" + "0" * 400, "1"], ids=["huge-n", "hi-overflows"])
+def test_simulate_rejects_a_prior_whose_products_overflow(capsys, n):
+    # n * hi overflows, or n itself has no float; neither may leave a traceback
+    argv = ["simulate", "--mechanism", "cs", "--dist", "U(0,1e308)", "--n", n, "--samples", "10"]
+    code, out, err = _run_capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # --------------------------------------------------------------------- table

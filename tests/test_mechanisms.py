@@ -1,5 +1,7 @@
 """Allocation rules: worked examples, invariants, and cross-checks."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,9 +53,25 @@ def test_profile_rejects_empty_and_negative():
         TypeProfile((0.5, -0.1))
     with pytest.raises(ValueError):
         TypeProfile((float("nan"),))
+    # k * v overflowed to inf, the deadline to 0, and the bug went unsold
+    # with everyone released at time 0 for free
+    big = sys.float_info.max
+    for values in ((1e308, 1e308), (big / 3,) * 3, (0.5, 0.6, big / 2), (big,)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            TypeProfile(values)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+def test_profile_at_the_overflow_boundary_still_sells():
+    # 2 * v is the largest double: the deadline is finite, subnormal and positive
+    profile = TypeProfile((sys.float_info.max / 2,) * 2)
+    t_star, k_star = optimal_deadline(profile)
+    assert 0.0 < t_star < 1.0 and k_star == 2
+    assert csod_allocate(profile) == Outcome((0.0, 0.0), (0.5, 0.5), sold=True)
+    assert all(out.sold for out in gcsod_realizations(profile))
+    assert sum(gcsod_expected(profile).payments) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf"), 1e308])
 def test_profile_replace_rejects_bad_value(bad):
     with pytest.raises(ValueError, match="finite and non-negative"):
         TypeProfile((0.5, 0.6)).replace(1, bad)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -611,6 +612,10 @@ def test_config_validation():
     )
     with pytest.raises(ValueError, match=cap):
         SimulationConfig("gcsod", UNIFORM, n=17, samples=10, seed=0, mode="exact_grouping")
+    # a prior whose k * v can overflow, which would put deadlines at 0
+    for n, hi in ((2, 1e308), (3, sys.float_info.max / 3), (1, sys.float_info.max)):
+        with pytest.raises(ValueError, match="hi must be finite"):
+            SimulationConfig("csod", DistributionSpec("uniform", 0.0, hi), n=n, samples=10, seed=0)
 
 
 @pytest.mark.parametrize("mechanism", ["cs", "csod", "gcsod"])
