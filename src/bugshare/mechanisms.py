@@ -20,41 +20,24 @@ Four allocation rules are implemented:
   group's optimal deadline, which restores strategy-proofness.
 
 All rules are pure functions; ``gcsod_sample`` is pure given its seed.
-cs, csd and csod sort a profile once, then call ``_deadline`` and
-``_csd_outcome``; the Monte Carlo kernels of :mod:`bugshare.simulate` use
-their row-wise twins.  The group rule has two array forms:
-
-* ``_group_rows`` decides it for a sampled block of profiles, each under
-  its own coin flips; only the Monte Carlo kernel calls it.
-* ``_sorted_table`` gives each agent's time and payment for one profile,
-  or a stack of them, under a set of groupings, from the sorted values and
-  the groupings' ranks.  ``gcsod_expected`` and the exact-grouping estimate
-  average it over all 2^n groupings; every single-profile call of the rule
-  reads its outcomes off it through ``_agent_table``.
-
-Neither form carries a sold flag: the rule fails to sell only in a tie at
-deadline 1 with k* = 0, where every time is already 1.
-
-The arrays are agent-major: an (n, rows) array holds one profile per
-column, so each reduction over the agents is an elementwise pass over n
-contiguous rows instead of a short loop per profile.  ``_group_rows`` sorts
-each profile once, with the right side's values negated, and reads both
-sides' descending orders off that one sort.  The row-wise helpers write
-their (n, rows) scratch into a ``_Workspace``, so that a Monte Carlo
-estimate allocates it once for all its chunks; each key is named by one
-module, and ``_group_rows`` makes its agent-major copies itself.
-
-The column sort (``_sort_columns``) is a compare-exchange network, built
-once per n: each comparator is an elementwise min and max of two agent
-rows, a few passes over contiguous memory, where ``np.sort`` along the
-agent axis makes one tiny sort per column.  At n = 10 that takes 35 ns per
-profile against 84.
+This module holds the one-profile forms of the rules, which every single
+call and every audit runs.  cs, csd and csod sort a profile once, then call
+``_deadline`` and ``_csd_outcome``.  The group rule's outcomes for one
+profile, or a stack of them, under a set of groupings come from
+``_sorted_table``, which reads them off the sorted values and the
+groupings' ranks: ``gcsod_expected`` and the exact-grouping estimate
+average it over all 2^n groupings, and every single-profile call of the
+rule reads its outcomes off it through ``_agent_table``.  It carries no
+sold flag: the rule fails to sell only in a tie at deadline 1 with k* = 0,
+where every time is already 1.  ``_prices`` is the one array form of the
+``QUALIFY_TOL`` price, shared with the Monte Carlo kernels of
+:mod:`bugshare.simulate`.
 
 The ranks of all 2^n groupings are built once per n by
 ``_sorted_groupings``, the one place that refuses more than
 ``ENUMERATION_CAP`` agents; a single grouping never goes through it.  The
-test suite checks both forms exactly against a scalar oracle of the group
-rule built from the public rules.
+test suite checks the table and the Monte Carlo kernel exactly against a
+scalar oracle of the group rule built from the public rules.
 """
 
 from __future__ import annotations
@@ -298,192 +281,27 @@ def gcsod_sample(profile: TypeProfile, seed: int) -> Outcome:
     return _realized(profile, np.stack([left, ~left], axis=1))[0]
 
 
-class _Workspace:
-    """Named scratch arrays that the row-wise helpers write instead of allocating.
-
-    A Monte Carlo estimate runs one kernel on chunk after chunk of the same
-    size.  Fresh (n, rows) temporaries per chunk are handed back to the OS
-    when freed and faulted in again on the next chunk; one workspace per
-    estimate allocates each array once.  The row-wise helpers require one;
-    ``_sorted_table`` calls ``_prices`` without one.
-
-    ``get(key, shape, dtype)`` returns a C-contiguous view of the first
-    prod(shape) elements of the flat buffer named ``key``, and grows the
-    buffer when it is too small; so a short last chunk sees only its own
-    rows.  Each key has one dtype and is named by one module only, which
-    writes it only once nothing it holds is still needed.  No array that a
-    kernel returns lives here, so its results outlast the next call.
-    """
-
-    def __init__(self) -> None:
-        self._flat: dict[str, np.ndarray] = {}
-
-    def get(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(key)
-        if flat is None or flat.size < size or flat.dtype != dtype:
-            flat = self._flat[key] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
-
-
-def _agent_major(rows: np.ndarray, key: str, work: _Workspace, dtype=np.float64) -> np.ndarray:
-    """``work``'s (n, rows) array ``key`` holding a copy of the (rows, n) block ``rows``.
-
-    A plain transpose copy: an arithmetic op forced to C order on the
-    transposed view costs over ten times as much.
-    """
-    block = work.get(key, rows.shape[::-1], dtype)
-    np.copyto(block, rows.T)
-    return block
-
-
-def _prices(ks: np.ndarray, deadlines: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
+def _prices(
+    ks: np.ndarray, deadlines: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Prices 1/(k*deadline) less their qualify slack, k and deadline broadcast.
 
-    ``ks`` is the column of k = 1..n or an array of per-cell ranks.  A zero
-    deadline divides by zero and leaves NaN prices that no value meets;
-    callers that allow one silence both warnings.
+    ``ks`` is the column of k = 1..n or an array of per-cell ranks.  Every
+    step after the product works in place, on one prices array and one slack
+    array; ``out`` is a ``(prices, slack)`` pair of the broadcast shape to
+    write them into, and without it both are new.  A zero deadline divides
+    by zero, and a subnormal one's k = 1 price overflows: either price is
+    infinite, and its slack turns it into NaN, which no value meets.  The
+    outcome is right either way; callers that allow such deadlines silence
+    the warnings.
     """
-    # every step after the product works in place, on one prices array and
-    # one slack array.  The prices share the "products" buffer with
-    # ``_deadline_rows``, whose products are reduced before anything is priced
-    out = None if work is None else work.get("products", np.broadcast(ks, deadlines).shape)
-    prices = np.multiply(ks, deadlines, out=out)
+    prices_out, slack_out = (None, None) if out is None else out
+    prices = np.multiply(ks, deadlines, out=prices_out)
     np.divide(1.0, prices, out=prices)
-    slack = np.maximum(prices, 1.0, out=None if work is None else work.get("slack", prices.shape))
+    slack = np.maximum(prices, 1.0, out=slack_out)
     slack *= QUALIFY_TOL
     prices -= slack
     return prices
-
-
-def _largest_k(meets: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Per column, the largest k whose k-th value meets its price, else 0.
-
-    k has the smallest unsigned type that holds n, so the (n, rows) product
-    is a fraction of the size of an int64 one.
-    """
-    n = meets.shape[0]
-    ks = np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None]
-    return np.multiply(meets, ks, out=work.get("ranks", meets.shape, ks.dtype)).max(axis=0)
-
-
-def _kstar_rows(sorted_desc: np.ndarray, levels: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Per column, the largest k whose k-th entry is at least level k, else 0.
-
-    ``sorted_desc`` is agent-major, (n, rows), each column sorted in
-    descending order; ``levels`` is (n, 1) or (n, rows).  With the values'
-    ``_prices`` as levels this is the row-wise ``_max_k``; the Monte Carlo
-    estimate of cs and csd also runs it on sorted uniforms against the
-    prices' preimages.
-    """
-    meets = np.greater_equal(sorted_desc, levels, out=work.get("meets", sorted_desc.shape, bool))
-    return _largest_k(meets, work)
-
-
-def _deadline_rows(sorted_desc: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Row-wise ``_deadline`` of agent-major sorted columns: 1/max(k*v_(k)), capped at 1."""
-    ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
-    products = np.multiply(ks, sorted_desc, out=work.get("products", sorted_desc.shape))
-    top = products.max(axis=0)
-    np.maximum(top, 1.0, out=top)
-    return np.divide(1.0, top, out=top)
-
-
-@functools.lru_cache(maxsize=None)
-def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
-    """Comparators (i, j), i < j, of Batcher's odd-even merge sort on n wires.
-
-    The network is Batcher's for the next power of two p, less every
-    comparator that touches a position >= n.  Padding each column with +inf
-    up to p would make those comparators no-ops, so what is left sorts n.
-    """
-    p = 1 << (n - 1).bit_length()
-    pairs = []
-    size = 1
-    while size < p:
-        step = size
-        while step >= 1:
-            for j in range(step % size, p - step, 2 * step):
-                for i in range(j, min(j + step, n - step)):
-                    if i // (2 * size) == (i + step) // (2 * size):
-                        pairs.append((i, i + step))
-            step //= 2
-        size *= 2
-    return tuple(pairs)
-
-
-def _sort_columns(a: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Sort each column of the agent-major (n, rows) block ``a`` ascending, in place.
-
-    This walks a compare-exchange network: each comparator (i, j) is an
-    elementwise min and max of rows i and j, a few passes over contiguous
-    rows of a C-contiguous block, where ``np.sort`` along axis 0 makes one
-    tiny sort per column.  Equal values come back in any order, and a
-    column's 0.0 and -0.0 may trade signs; no caller tells them apart.
-    The scratch row comes from ``work``.  Returns ``a``.
-    """
-    low = work.get("low", a.shape[1:])
-    for i, j in _sorting_network(a.shape[0]):
-        np.minimum(a[i], a[j], out=low)
-        np.maximum(a[i], a[j], out=a[j])
-        a[i] = low
-    return a
-
-
-def _group_rows(values: np.ndarray, left: np.ndarray, work: _Workspace):
-    """Row-wise decision of ``gcsod_allocate`` under the coin flips ``left``.
-
-    Both arrays are sampled (rows, n) blocks, one profile per row, and
-    neither is written.  Their agent-major copies in ``work`` hold one
-    profile per column, so that the sort and every step after it work on
-    contiguous agent rows.  Returns ``(own, extended, k_star, n_win)``: the
-    winner's own deadline, the loser's deadline under which the winner
-    shares, the winner's sharing-set size and the winning side's size.
-    Exact ties favour the left.
-
-    One sort serves both sides.  Right members are negated (multiplied by -1,
-    which is exact), so each ascending column holds the right side first,
-    largest value first, and the left side last.  Reversed, the column is the
-    left side in descending order; negated, the right side.  Either way the
-    other side's members follow as values <= 0, which never meet a positive
-    price and never lift k*v_(k) to the cap of 1, so each side's deadline and
-    k* are those of its own members, as in the scalar rule.
-
-    The winner's own deadline is the smaller of the two and the extended one
-    the larger, exactly, since at a tie both are the same number.  So the
-    tied columns are priced at their common deadline by the k* pass itself,
-    and its masks of the members that meet their prices also decide ties: the
-    left side wins a tie when one of its members meets its price.  No sold
-    flag is needed: an optimal deadline below 1 funds its own side (by the relative
-    ``QUALIFY_TOL`` and finite k*v), so a sale fails only in a tie at 1 where
-    neither side funds, and there own = extended = 1 and k* = 0 give every time 1.
-    """
-    left = _agent_major(left, "left", work, bool)
-    shape = left.shape
-    ks = np.arange(1, shape[0] + 1)[:, None]
-    # (2 * left - 1) * values, the same bits as values * (2 * left - 1); the
-    # values are read only here, before the deadlines' products overwrite them
-    s = np.multiply(left, 2.0, out=work.get("signed", shape))
-    s -= 1.0
-    s *= _agent_major(values, "products", work)
-    s = _sort_columns(s, work)
-    l_sorted = s[::-1]
-    r_sorted = np.negative(s, out=work.get("negated", shape))
-    dl = _deadline_rows(l_sorted, work)
-    dr = _deadline_rows(r_sorted, work)
-    own = np.minimum(dl, dr)
-    extended = np.maximum(dl, dr)
-    prices = _prices(ks, extended, work)
-    meets = np.greater_equal(l_sorted, prices, out=work.get("meets", shape, bool))
-    other = np.greater_equal(r_sorted, prices, out=work.get("other", shape, bool))
-    left_wins = (dl < dr) | ((dl == dr) & meets.any(axis=0))
-    meets &= left_wins
-    other &= ~left_wins
-    meets |= other
-    k_star = _largest_k(meets, work)
-    # the flips are dead after this count, so the winners' mask overwrites them
-    n_win = np.add.reduce(np.equal(left, left_wins, out=left), axis=0, dtype=k_star.dtype)
-    return own, extended, k_star, n_win
 
 
 def _grouping_ranks(left: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -551,7 +369,7 @@ def _sorted_table(
     of the complement, ``k_left[..., ::-1]``.  The left wins a tie when its
     k is positive; k* is the winner's k, and the payers are the winners of
     rank at most k*: k* never splits a tie of values, since the tied value
-    past it would qualify k* + 1.  As in ``_group_rows``, no sold flag.
+    past it would qualify k* + 1.
     """
     v = sorted_desc[..., None]
     dl = 1.0 / np.maximum((left_rank * v).max(axis=0), 1.0)

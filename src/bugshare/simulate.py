@@ -17,24 +17,25 @@ and priced as before, so the reports are bit for bit those of the value
 path.  csod, the group rule and the exact-grouping mode use the values
 themselves, in products and per-row deadlines, and draw them.
 
-One ``estimate`` call holds one workspace (``mechanisms._Workspace``) for
-all its chunks, so the draws, the coin flips and the kernels' (n, rows)
-arrays are allocated once; fresh per chunk, they were faulted in again on
-every chunk, about 1.5 GB of pages per benchmark pass.  This module names
-only "draws", "flips" and "values"; the coin uniforms go into "draws" and
-are flipped before the values are drawn over them.  The last, shorter
-chunk works on views of the first rows x n elements of each buffer.  The
-kernels' results are new arrays, and a kernel called without a workspace
-builds its own.
-
-The array form of the allocation rules (row-wise deadline, k* and
-group-rule decision) lives in :mod:`bugshare.mechanisms` next to the scalar
-rules it mirrors, on agent-major (n, rows) copies of the sampled (rows, n)
-blocks, each sorted once by ``mechanisms._sort_columns``, a network of
-elementwise passes over whole agent rows.  This module only reduces the
+The kernels (``batch_*_delays``) work on agent-major copies of the sampled
+(rows, n) blocks: an (n, rows) array holds one profile per column, so each
+reduction over the agents is an elementwise pass over n contiguous rows
+instead of a short loop per profile.  Each block is sorted once by the
+compare-exchange network ``_sort_columns``, built once per n: at n = 10 it
+takes 35 ns per profile, against 84 for ``np.sort`` along the agent axis.
+The row-wise deadline and k* (``_deadline_rows``, ``_kstar_rows``) are the
+twins of the scalar ``mechanisms._deadline`` and ``mechanisms._max_k``, and
+price through the same ``mechanisms._prices``.  The kernels reduce the
 decisions to the max and sum of the allocation times.  The group rule runs
 either with one sampled coin-flip vector per profile (``monte_carlo``) or
-over all 2^n groupings, for a block of profiles at once (``exact_grouping``).
+over all 2^n groupings, for a block of profiles at once (``exact_grouping``,
+through ``mechanisms._sorted_table``).
+
+One ``estimate`` call holds one ``_Workspace`` for all its chunks, so the
+draws, the coin flips and the kernels' (n, rows) scratch arrays are
+allocated once, not faulted in again per chunk (about 1.5 GB of pages per
+benchmark pass).  The coin uniforms go into "draws" and are flipped before
+the values are drawn over them.
 
 ``reproduce_table`` assembles the benchmark grid: expected max/sum delay of
 the plain and group cost-sharing rules plus the two LP lower bounds, for
@@ -43,8 +44,10 @@ U(0,1), N(0.5,0.2) and N(0.5,0.4) at n in {1, 2, 5, 10}.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import math
 import csv as _csv
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -53,17 +56,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, _to_values, draw, preimage
 from .lowerbound import max_delay_lower_bound, sum_delay_lower_bound
-from .mechanisms import (
-    _Workspace,
-    _agent_major,
-    _deadline_rows,
-    _group_rows,
-    _kstar_rows,
-    _prices,
-    _sort_columns,
-    _sorted_groupings,
-    _sorted_table,
-)
+from .mechanisms import _prices, _sorted_groupings, _sorted_table
 
 MECHANISMS = ("cs", "csd", "csod", "gcsod")
 MODES = ("monte_carlo", "exact_grouping")
@@ -139,10 +132,126 @@ def _share_delays(
     return np.where(k_star == n, 0.0, deadlines), (n - k_star) * deadlines
 
 
+class _Workspace:
+    """Named scratch arrays that the kernels write instead of allocating.
+
+    A Monte Carlo estimate runs one kernel on chunk after chunk of the same
+    size.  Fresh (n, rows) temporaries per chunk are handed back to the OS
+    when freed and faulted in again on the next chunk; one workspace per
+    estimate allocates each array once.  The row-wise helpers require one.
+
+    ``get(key, shape, dtype)`` returns a C-contiguous view of the first
+    prod(shape) elements of the flat buffer named ``key``, and grows the
+    buffer when it is too small; so a short last chunk sees only its own
+    rows.  Each key has one dtype, and is written only once nothing it holds
+    is still needed.  No array that a kernel returns lives here, so its
+    results outlast the next call.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def get(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[key] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _agent_major(rows: np.ndarray, key: str, work: _Workspace, dtype=np.float64) -> np.ndarray:
+    """``work``'s (n, rows) array ``key`` holding a copy of the (rows, n) block ``rows``.
+
+    A plain transpose copy: an arithmetic op forced to C order on the
+    transposed view costs over ten times as much.
+    """
+    block = work.get(key, rows.shape[::-1], dtype)
+    np.copyto(block, rows.T)
+    return block
+
+
+@functools.lru_cache(maxsize=None)
+def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort on n wires.
+
+    The network is Batcher's for the next power of two p, less every
+    comparator that touches a position >= n.  Padding each column with +inf
+    up to p would make those comparators no-ops, so what is left sorts n.
+    """
+    p = 1 << (n - 1).bit_length()
+    pairs = []
+    size = 1
+    while size < p:
+        step = size
+        while step >= 1:
+            for j in range(step % size, p - step, 2 * step):
+                for i in range(j, min(j + step, n - step)):
+                    if i // (2 * size) == (i + step) // (2 * size):
+                        pairs.append((i, i + step))
+            step //= 2
+        size *= 2
+    return tuple(pairs)
+
+
+def _sort_columns(a: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Sort each column of the agent-major (n, rows) block ``a`` ascending, in place.
+
+    This walks a compare-exchange network: each comparator (i, j) is an
+    elementwise min and max of rows i and j, a few passes over contiguous
+    rows of a C-contiguous block, where ``np.sort`` along axis 0 makes one
+    tiny sort per column.  Equal values come back in any order, and a
+    column's 0.0 and -0.0 may trade signs; no caller tells them apart.
+    The scratch row comes from ``work``.  Returns ``a``.
+    """
+    low = work.get("low", a.shape[1:])
+    for i, j in _sorting_network(a.shape[0]):
+        np.minimum(a[i], a[j], out=low)
+        np.maximum(a[i], a[j], out=a[j])
+        a[i] = low
+    return a
+
+
+def _deadline_rows(sorted_desc: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Row-wise ``_deadline`` of agent-major sorted columns: 1/max(k*v_(k)), capped at 1."""
+    ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
+    products = np.multiply(ks, sorted_desc, out=work.get("products", sorted_desc.shape))
+    top = products.max(axis=0)
+    np.maximum(top, 1.0, out=top)
+    return np.divide(1.0, top, out=top)
+
+
+def _largest_k(meets: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Per column, the largest k whose k-th value meets its price, else 0.
+
+    k has the smallest unsigned type that holds n, so the (n, rows) product
+    is a fraction of the size of an int64 one.
+    """
+    n = meets.shape[0]
+    ks = np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None]
+    return np.multiply(meets, ks, out=work.get("ranks", meets.shape, ks.dtype)).max(axis=0)
+
+
+def _kstar_rows(sorted_desc: np.ndarray, levels: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Per column, the largest k whose k-th entry is at least level k, else 0.
+
+    ``sorted_desc`` is agent-major, (n, rows), each column sorted in
+    descending order; ``levels`` is (n, 1) or (n, rows).  With the values'
+    ``_prices`` as levels this is the row-wise ``_max_k``; the Monte Carlo
+    estimate of cs and csd also runs it on sorted uniforms against the
+    prices' preimages.
+    """
+    meets = np.greater_equal(sorted_desc, levels, out=work.get("meets", sorted_desc.shape, bool))
+    return _largest_k(meets, work)
+
+
 def _priced_kstar(sorted_desc: np.ndarray, deadlines: np.ndarray, work: _Workspace) -> np.ndarray:
     """Row-wise ``_max_k`` of agent-major sorted values at their deadlines."""
     ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
-    return _kstar_rows(sorted_desc, _prices(ks, deadlines, work), work)
+    # the prices share "products" with ``_deadline_rows``, whose products are
+    # reduced before anything is priced
+    shape = np.broadcast(ks, deadlines).shape
+    prices = _prices(ks, deadlines, (work.get("products", shape), work.get("slack", shape)))
+    return _kstar_rows(sorted_desc, prices, work)
 
 
 def _sorted_desc(values: np.ndarray, work: _Workspace) -> np.ndarray:
@@ -240,18 +349,67 @@ def batch_csod_delays(
     work = _Workspace() if work is None else work
     sorted_desc = _sorted_desc(values, work)
     deadlines = _deadline_rows(sorted_desc, work)
-    return _share_delays(_priced_kstar(sorted_desc, deadlines, work), deadlines, values.shape[1])
+    # a row such as (DBL_MAX/2, DBL_MAX/2) has a subnormal deadline, whose
+    # k = 1 price overflows to inf and its slack turns into NaN; no value
+    # meets that, nor the same NaN in ``_max_k``, so k* is already right
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_star = _priced_kstar(sorted_desc, deadlines, work)
+    return _share_delays(k_star, deadlines, values.shape[1])
 
 
 def batch_gcsod_delays(
     values: np.ndarray, left: np.ndarray, work: _Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(max delay, sum delay) per row of the group rule under given coin flips.
+    """(max delay, sum delay) per row of the group rule under the coin flips ``left``.
 
-    An unsold row needs no flag: its own = extended = 1 and k* = 0 give max 1 and sum n.
+    Both arrays are sampled (rows, n) blocks, one profile per row, and
+    neither is written.  Their agent-major copies hold one profile per
+    column, so that the sort and every step after it work on contiguous
+    agent rows.  Exact ties favour the left, as in ``gcsod_allocate``.
+
+    One sort serves both sides.  Right members are negated (multiplied by -1,
+    which is exact), so each ascending column holds the right side first,
+    largest value first, and the left side last.  Reversed, the column is the
+    left side in descending order; negated, the right side.  Either way the
+    other side's members follow as values <= 0, which never meet a positive
+    price and never lift k*v_(k) to the cap of 1, so each side's deadline and
+    k* are those of its own members, as in the scalar rule.
+
+    The winner's own deadline is the smaller of the two and the extended one
+    the larger, exactly, since at a tie both are the same number.  So the
+    tied columns are priced at their common deadline by the k* pass itself,
+    and its masks of the members that meet their prices also decide ties: the
+    left side wins a tie when one of its members meets its price.  No sold
+    flag is needed: an optimal deadline below 1 funds its own side (by the relative
+    ``QUALIFY_TOL`` and finite k*v), so a sale fails only in a tie at 1 where
+    neither side funds, and there own = extended = 1 and k* = 0 give max 1 and sum n.
     """
     work = _Workspace() if work is None else work
-    own, extended, k_star, n_win = _group_rows(values, left, work)
+    left = _agent_major(left, "left", work, bool)
+    shape = left.shape
+    ks = np.arange(1, shape[0] + 1)[:, None]
+    # (2 * left - 1) * values, the same bits as values * (2 * left - 1); the
+    # values are read only here, before the deadlines' products overwrite them
+    s = np.multiply(left, 2.0, out=work.get("signed", shape))
+    s -= 1.0
+    s *= _agent_major(values, "products", work)
+    s = _sort_columns(s, work)
+    l_sorted = s[::-1]
+    r_sorted = np.negative(s, out=work.get("negated", shape))
+    dl = _deadline_rows(l_sorted, work)
+    dr = _deadline_rows(r_sorted, work)
+    own = np.minimum(dl, dr)
+    extended = np.maximum(dl, dr)
+    prices = _prices(ks, extended, (work.get("products", shape), work.get("slack", shape)))
+    meets = np.greater_equal(l_sorted, prices, out=work.get("meets", shape, bool))
+    other = np.greater_equal(r_sorted, prices, out=work.get("other", shape, bool))
+    left_wins = (dl < dr) | ((dl == dr) & meets.any(axis=0))
+    meets &= left_wins
+    other &= ~left_wins
+    meets |= other
+    k_star = _largest_k(meets, work)
+    # the flips are dead after this count, so the winners' mask overwrites them
+    n_win = np.add.reduce(np.equal(left, left_wins, out=left), axis=0, dtype=k_star.dtype)
     # the tail works branch-free, on counts of k*'s small unsigned type: a
     # select on a coin-flip mask mispredicts about every other row.  Each
     # float step is the IEEE operation of the plain formula: the counts

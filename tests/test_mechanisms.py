@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bugshare import mechanisms
+from bugshare import simulate
 from bugshare.mechanisms import (
     Grouping,
     Outcome,
@@ -20,13 +20,10 @@ from bugshare.mechanisms import (
     gcsod_sample,
     grouping_table,
     optimal_deadline,
-    _Workspace,
-    _group_rows,
-    _sort_columns,
     _sorted_groupings,
     _sorted_table,
 )
-from bugshare.simulate import batch_csod_delays
+from bugshare.simulate import _Workspace, _sort_columns, batch_csod_delays, batch_gcsod_delays
 
 from helpers import (
     EXAMPLE_PROFILE,
@@ -137,10 +134,10 @@ def test_group_rows_match_np_sort_bit_for_bit():
     for n in range(1, 21):
         values = rng.choice(TIE_GRID, (400, n))
         left = rng.random((400, n)) < 0.5
-        network = _group_rows(values, left, _Workspace())
+        network = batch_gcsod_delays(values, left)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mechanisms, "_sort_columns", lambda a, work: np.sort(a, axis=0))
-            reference = _group_rows(values, left, _Workspace())
+            mp.setattr(simulate, "_sort_columns", lambda a, work: np.sort(a, axis=0))
+            reference = batch_gcsod_delays(values, left)
         for got, want in zip(network, reference):
             assert got.tobytes() == want.tobytes(), n
 
