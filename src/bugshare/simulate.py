@@ -1,11 +1,13 @@
 """Monte-Carlo and exact-expectation estimation of mechanism delays under priors.
 
-Profiles are sampled in chunks of ``_CHUNK_ROWS`` from a seeded stream.  At
-n = 10 a chunk's (n, rows) float arrays are 1.3 MB each and the group rule
-holds five: its estimate peaks 8 MiB above the post-import RSS (cs: 4 MiB).
-The value and coin streams are read in the same order whatever the chunk
-size, so the draws do not depend on it.  ``draw`` maps the chunk's uniforms
-to values in place, with no temporary per arithmetic step.
+Profiles are sampled from a seeded stream in chunks of ``_CHUNK_VALUES``
+values, at most ``_CHUNK_ROWS`` rows: 16,384 rows up to n = 5, 8,192 at
+n = 10.  A chunk's (n, rows) float arrays are then 640 KiB each at n = 10,
+and the group rule holds four: its estimate peaks about 3.4 MiB above the
+post-import RSS (cs: 1.7 MiB), against 8.2 MiB with five arrays of 16,384
+rows.  The value and coin streams are read in the same order whatever the
+chunk size, so the draws do not depend on it.  ``draw`` maps the chunk's
+uniforms to values in place, with no temporary per arithmetic step.
 
 cs and csd read a value only through ``v >= price_k``, so their estimates
 never map the uniforms: each kernel sorts the chunk's uniforms and compares
@@ -65,6 +67,8 @@ TABLE_DISTRIBUTIONS = ("U(0,1)", "N(0.5,0.2)", "N(0.5,0.4)")
 TABLE_AGENT_COUNTS = (1, 2, 5, 10)
 
 _CHUNK_ROWS = 16_384
+# values per chunk: n <= 5 keeps 16,384 rows, n = 10 gets 8,192
+_CHUNK_VALUES = 81_920
 
 
 @dataclass(frozen=True)
@@ -373,7 +377,10 @@ def batch_gcsod_delays(
     left side in descending order; negated, the right side.  Either way the
     other side's members follow as values <= 0, which never meet a positive
     price and never lift k*v_(k) to the cap of 1, so each side's deadline and
-    k* are those of its own members, as in the scalar rule.
+    k* are those of its own members, as in the scalar rule.  The block is
+    negated in place for the right side's deadline and price test, and
+    negated back for the left side's price test: negation is exact, so no
+    second (n, rows) copy is needed and every value keeps its bits.
 
     The winner's own deadline is the smaller of the two and the extended one
     the larger, exactly, since at a tie both are the same number.  So the
@@ -395,14 +402,15 @@ def batch_gcsod_delays(
     s *= _agent_major(values, "products", work)
     s = _sort_columns(s, work)
     l_sorted = s[::-1]
-    r_sorted = np.negative(s, out=work.get("negated", shape))
     dl = _deadline_rows(l_sorted, work)
-    dr = _deadline_rows(r_sorted, work)
+    np.negative(s, out=s)
+    dr = _deadline_rows(s, work)
     own = np.minimum(dl, dr)
     extended = np.maximum(dl, dr)
     prices = _prices(ks, extended, (work.get("products", shape), work.get("slack", shape)))
+    other = np.greater_equal(s, prices, out=work.get("other", shape, bool))
+    np.negative(s, out=s)
     meets = np.greater_equal(l_sorted, prices, out=work.get("meets", shape, bool))
-    other = np.greater_equal(r_sorted, prices, out=work.get("other", shape, bool))
     left_wins = (dl < dr) | ((dl == dr) & meets.any(axis=0))
     meets &= left_wins
     other &= ~left_wins
@@ -456,9 +464,10 @@ def estimate(config: SimulationConfig) -> SimulationReport:
         preimages = _price_preimages(config.spec, config.n, t_c)
     total = np.zeros(2)
     total_sq = np.zeros(2)
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // config.n))
     remaining = config.samples
     while remaining > 0:
-        shape = (min(remaining, _CHUNK_ROWS), config.n)
+        shape = (min(remaining, rows), config.n)
         block = work.get("draws", shape)
         if preimages is not None:
             uniforms = rng_values.random(shape, out=block)

@@ -1,6 +1,7 @@
 """Delay estimation: kernel agreement, determinism, anchors, and the table."""
 
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -173,6 +174,55 @@ def test_agent_major_kernels_match_scalar_rules_past_six_agents(case, t_c):
         assert sm == pytest.approx(sum(out.times), abs=1e-12)
 
 
+def _largest_accepted(n):
+    """The largest v with max(n, 2) * v finite: the top of ``TypeProfile``'s domain."""
+    m = max(n, 2)
+    v = sys.float_info.max / m
+    while math.isfinite(m * math.nextafter(v, math.inf)):
+        v = math.nextafter(v, math.inf)
+    while not math.isfinite(m * v):
+        v = math.nextafter(v, -math.inf)
+    return v
+
+
+@st.composite
+def _accepted_blocks(data):
+    """A (rows, n) block over ``TIE_GRID`` and the domain's top, with one split per row."""
+    n = data(st.integers(1, 12))
+    top = _largest_accepted(n)
+    pool = TIE_GRID + (top, top / 2, top / 3)
+    rows = data(st.integers(1, 6))
+    row = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    split = st.lists(st.booleans(), min_size=n, max_size=n)
+    values = data(st.lists(row, min_size=rows, max_size=rows))
+    left = data(st.lists(split, min_size=rows, max_size=rows))
+    return np.array(values), np.array(left)
+
+
+# Every row is decided exactly as by the scalar rules, across the whole
+# accepted domain: at its top a deadline is subnormal and its k = 1 price
+# overflows, which must neither warn nor change a decision.  The max delay
+# matches bit for bit.  The kernels sum counts times each distinct time, the
+# rules list the times, so the sums agree to within the kernels' three
+# roundings.
+@pytest.mark.filterwarnings("error")
+@given(_accepted_blocks())
+@example((np.array([[_largest_accepted(2)] * 2]), np.array([[True, False]])))
+@example((np.array([[_largest_accepted(12)] * 12, [1 / 3] * 12]), np.ones((2, 12), bool)))
+@example((np.array([[_largest_accepted(8) / 2] * 4 + [0.0] * 4]), np.array([[True, False] * 4])))
+@settings(max_examples=200, deadline=None)
+def test_kernels_match_scalar_rules_on_the_whole_accepted_domain(block):
+    values, left = block
+    kernels = (batch_cs_delays(values), batch_csod_delays(values), batch_gcsod_delays(values, left))
+    for r in range(values.shape[0]):
+        profile = TypeProfile(tuple(values[r]))
+        grouping = Grouping(tuple("L" if flag else "R" for flag in left[r]))
+        rules = (cs_allocate(profile), csod_allocate(profile), gcsod_oracle(profile, grouping))
+        for (mx, sm), out in zip(kernels, rules):
+            assert mx[r] == max(out.times)
+            assert sm[r] == pytest.approx(math.fsum(out.times), rel=2**-50, abs=0)
+
+
 # ``gcsod_expected`` averages a table built over the agents in sorted order
 # and maps it back, so ties between agents, ties between the two sides'
 # deadlines and the order of the agents all pass through one argsort; the
@@ -307,7 +357,7 @@ def _fresh_arrays_estimate(config):
     total_sq = np.zeros(2)
     remaining = config.samples
     while remaining > 0:
-        m = min(remaining, sim._CHUNK_ROWS)
+        m = min(remaining, sim._CHUNK_ROWS, max(1, sim._CHUNK_VALUES // config.n))
         values = draw(config.spec, (m, config.n), rng_values)
         if config.mechanism == "cs":
             mx, sm = batch_cs_delays(values)
@@ -367,6 +417,47 @@ def test_kernels_sharing_a_workspace_keep_earlier_results_and_inputs():
             assert np.array_equal(got, fresh)
         for a, kept in zip(first + second, kept_inputs):
             assert np.array_equal(a, kept)
+
+
+def _recorded_workspace(monkeypatch, config):
+    """The one ``_Workspace`` that ``estimate(config)`` made."""
+    import bugshare.simulate as sim
+
+    made = []
+
+    class Recording(sim._Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(sim, "_Workspace", Recording)
+    estimate(config)
+    (work,) = made
+    return work._flat
+
+
+def test_group_rule_working_set_fits_the_value_budget(monkeypatch):
+    import bugshare.simulate as sim
+
+    # 20,000 samples at n = 10 are two full chunks of 8,192 rows and a short one
+    config = SimulationConfig("gcsod", UNIFORM, n=10, samples=20_000, seed=3)
+    flat = _recorded_workspace(monkeypatch, config)
+    assert "negated" not in flat
+    assert flat["draws"].size == sim._CHUNK_VALUES
+    # a chunk of V = _CHUNK_VALUES values (8,192 rows of 10) holds four float
+    # buffers ("draws", "signed", "products", "slack"), five one-byte ones
+    # ("flips", "left", "meets", "other", "ranks") and the sort's float row
+    # ("low"): 4*8*V + 5*V + 8*V/10 = 3,096,576 bytes, 3.0 MiB.  Five float
+    # buffers of 16,384 rows, a fifth one "negated", took 7,503,872 (7.2 MiB).
+    budget = (4 * 8 + 5) * sim._CHUNK_VALUES + 8 * sim._CHUNK_VALUES // 10
+    assert sum(a.nbytes for a in flat.values()) <= budget
+
+
+def test_small_estimates_keep_full_row_chunks(monkeypatch):
+    config = SimulationConfig("gcsod", UNIFORM, n=2, samples=20_000, seed=3)
+    flat = _recorded_workspace(monkeypatch, config)
+    assert flat["draws"].shape == (2 * 16_384,)
+    assert flat["low"].shape == (16_384,)
 
 
 # ------------------------------------------------ cs and csd in uniform space
