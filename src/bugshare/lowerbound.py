@@ -37,7 +37,8 @@ Both bounds hand the system to scipy's HiGHS solver.  Their objectives weigh
 the t_i alone, so the substitution leaves them unchanged.  HiGHS runs with its
 presolve off: at H = 100 a system has 207 rows and about 1,000 nonzeros, and on
 systems this small presolve costs more than it saves (the benchmark's LP pass
-took about a sixth less time without it, with equal bounds).
+took about a sixth less time without it, with equal bounds).  A solve that
+stops on numerical difficulties without presolve is retried with it (``_solve``).
 
 scipy is imported on first use: ``scipy.sparse`` where the system is built
 (``_arrays``, ``build_common_constraints``) and ``scipy.optimize`` in
@@ -135,12 +136,17 @@ def _solve(c, a_ub, b_ub, bounds):
 
     Presolve is off.  The systems here are small (module docstring), and
     HiGHS solved them faster without it, for bounds equal within its 1e-7
-    tolerances on every prior tried.  A solve that ends without an optimum
+    tolerances on every prior tried.  Without presolve, HiGHS can stop on
+    numerical difficulties (status 4) where presolve finds the optimum: the
+    sum bound of N(1.171875,0.05078125) at n = 1, H = 28 does.  Such a solve is
+    run once more with presolve on.  A solve that still ends without an optimum
     (any status but 0) raises ``SolverError``.
     """
     res = linprog(
         c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options={"presolve": False}
     )
+    if res.status == 4:
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         raise SolverError(f"LP solver ended with status {res.status}: {res.message}")
     return res
