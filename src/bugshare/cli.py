@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_profile(text: str) -> TypeProfile:
     try:
-        return TypeProfile(tuple(float(tok) for tok in text.split(",") if tok.strip()))
+        return TypeProfile(tuple(float(tok) for tok in text.split(",")))
     except ValueError as exc:
         raise _UsageError(f"bad profile {text!r}: {exc}") from exc
 
@@ -145,6 +145,8 @@ def _cmd_allocate(args) -> int:
     ):
         if value is not None and args.mechanism != owner:
             raise _UsageError(f"{flag} only applies to --mechanism {owner}")
+    if args.grouping is not None and args.seed is not None:
+        raise _UsageError("--seed does not apply with --grouping, which fixes the coin flips")
     profile = _parse_profile(args.profile)
     payload: dict = {"mechanism": args.mechanism, "profile": list(profile.values)}
     if args.mechanism == "gcsod":

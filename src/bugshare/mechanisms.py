@@ -27,9 +27,10 @@ profile, or a stack of them, under a set of groupings come from
 ``_sorted_table``, which reads them off the sorted values and the
 groupings' ranks: ``gcsod_expected`` and the exact-grouping estimate
 average it over all 2^n groupings, and every single-profile call of the
-rule reads its outcomes off it through ``_agent_table``.  It carries no
-sold flag: the rule fails to sell only in a tie at deadline 1 with k* = 0,
-where every time is already 1.  ``_prices`` is the one array form of the
+rule reads its outcomes off it through ``_agent_table``.  No form stores a
+sold flag; ``Outcome.sold`` reads the sale off the payments.  The group rule
+fails to sell only in a tie at deadline 1 with k* = 0, where every time is
+already 1.  ``_prices`` is the one array form of the
 ``QUALIFY_TOL`` price, shared with the Monte Carlo kernels of
 :mod:`bugshare.simulate`.
 
@@ -56,7 +57,7 @@ import numpy as np
 # below one ulp of the price and a group could miss its own deadline's price.
 QUALIFY_TOL = 1e-12
 
-# Payments must sum to 1 within this tolerance whenever the bug is sold.
+# Payments that are not all 0 must sum to 1 within this tolerance.
 BUDGET_TOL = 1e-9
 
 # Most agents whose 2^n groupings are enumerated exactly (``_sorted_groupings``).
@@ -111,11 +112,10 @@ def _valuation(value: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class Outcome:
-    """Allocation times, payments and the sold flag of one mechanism run."""
+    """Allocation times and payments of one mechanism run, collecting 1 or nothing."""
 
     times: tuple[float, ...]
     payments: tuple[float, ...]
-    sold: bool
 
     def __post_init__(self) -> None:
         times = tuple(float(t) for t in self.times)
@@ -129,13 +129,15 @@ class Outcome:
         for p in payments:
             if not p >= 0.0:
                 raise ValueError(f"payments must be non-negative, got {p}")
-        if self.sold:
-            if not abs(sum(payments) - 1.0) <= BUDGET_TOL:
-                raise ValueError("sold outcomes must collect payments summing to 1")
-        elif any(p != 0.0 for p in payments):
-            raise ValueError("unsold outcomes must not collect payments")
+        if any(payments) and not abs(sum(payments) - 1.0) <= BUDGET_TOL:
+            raise ValueError("payments must sum to 1 when the bug is sold, or all be 0")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "payments", payments)
+
+    @property
+    def sold(self) -> bool:
+        """Whether the bug was bought: a sale collects 1, and no sale nothing."""
+        return any(self.payments)
 
 
 @dataclass(frozen=True)
@@ -204,14 +206,14 @@ def _csd_outcome(values: Sequence[float], sorted_desc: Sequence[float], t_c: flo
     """``csd_allocate``'s outcome at ``t_c`` for ``values``, sorted as ``sorted_desc``."""
     k_star = _max_k(sorted_desc, t_c)
     if k_star == 0:
-        return Outcome((t_c,) * len(values), (0.0,) * len(values), sold=False)
+        return Outcome((t_c,) * len(values), (0.0,) * len(values))
     # k* never splits a tie (the tied value past it would qualify k*+1), so the
     # top k* agents are exactly those whose value reaches the k*-th largest
     cutoff = sorted_desc[k_star - 1]
     share = 1.0 / k_star
     times = tuple(0.0 if v >= cutoff else t_c for v in values)
     payments = tuple(share if v >= cutoff else 0.0 for v in values)
-    return Outcome(times, payments, sold=True)
+    return Outcome(times, payments)
 
 
 def cs_allocate(profile: TypeProfile) -> Outcome:
@@ -402,8 +404,7 @@ def _agent_table(values: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.n
 def _realized(profile: TypeProfile, left: np.ndarray) -> list[Outcome]:
     """The group rule's ``Outcome`` under each column of the groupings ``left``."""
     times, payments = _agent_table(np.array(profile.values), left)
-    # a sold outcome collects 1 in total, an unsold one nothing
-    return [Outcome(t, p, sold=any(p)) for t, p in zip(times.T.tolist(), payments.T.tolist())]
+    return [Outcome(t, p) for t, p in zip(times.T.tolist(), payments.T.tolist())]
 
 
 def grouping_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -105,15 +105,16 @@ def gcsod_oracle(profile: TypeProfile, grouping: Grouping) -> Outcome:
     elif d_right.t_star < d_left.t_star or d_right.k_star >= 1:
         winner, own, extended = sides[1], d_right.t_star, d_left.t_star
     else:
-        return Outcome((1.0,) * n, (0.0,) * n, sold=False)
+        return Outcome((1.0,) * n, (0.0,) * n)
 
     winning = csd_allocate(TypeProfile(tuple(profile.values[i] for i in winner)), extended)
+    assert winning.sold, "a side that funds its own deadline funds any later one"
     times = [own] * n
     payments = [0.0] * n
     for i, t, p in zip(winner, winning.times, winning.payments):
         times[i] = t
         payments[i] = p
-    return Outcome(tuple(times), tuple(payments), sold=True)
+    return Outcome(tuple(times), tuple(payments))
 
 
 def enumerate_gcsod(profile: TypeProfile):

@@ -68,7 +68,7 @@ def _verdict(criterion: str, passed: bool, detail: str = "") -> None:
 
 def test_criterion_1_example_one_reproduction():
     """Optimal-deadline run on (0.9, 0.8, 0.26, 0.26): exact outcome, <1 ms."""
-    expected = Outcome((0.0, 0.0, 0.625, 0.625), (0.5, 0.5, 0.0, 0.0), sold=True)
+    expected = Outcome((0.0, 0.0, 0.625, 0.625), (0.5, 0.5, 0.0, 0.0))
     deadline = optimal_deadline(EXAMPLE_PROFILE)
     outcome = csod_allocate(EXAMPLE_PROFILE)
 

@@ -39,15 +39,15 @@ from helpers import EXAMPLE_PROFILE, brute_force_sharing_set, enumerate_gcsod, r
 
 
 def test_max_delay_examples():
-    assert max_delay(Outcome((0.0, 0.625, 0.625), (1.0, 0.0, 0.0), True)) == 0.625
-    assert max_delay(Outcome((1.0, 1.0), (0.0, 0.0), False)) == 1.0
+    assert max_delay(Outcome((0.0, 0.625, 0.625), (1.0, 0.0, 0.0))) == 0.625
+    assert max_delay(Outcome((1.0, 1.0), (0.0, 0.0))) == 1.0
     assert max_delay(csod_allocate(EXAMPLE_PROFILE)) == 0.625
 
 
 def test_sum_delay_examples():
     assert sum_delay(csod_allocate(EXAMPLE_PROFILE)) == pytest.approx(1.25)
-    assert sum_delay(Outcome((1.0, 1.0), (0.0, 0.0), False)) == 2.0
-    assert sum_delay(Outcome((0.0, 0.0), (0.5, 0.5), True)) == 0.0
+    assert sum_delay(Outcome((1.0, 1.0), (0.0, 0.0))) == 2.0
+    assert sum_delay(Outcome((0.0, 0.0), (0.5, 0.5))) == 0.0
 
 
 # ------------------------------------------------------------------- check_sp
@@ -124,7 +124,7 @@ def _ir_deficit_rule(deficit):
 
     def rule(profile):
         half = 0.5 + deficit
-        return Outcome((0.0, 0.0), (half, 1.0 - half), True)
+        return Outcome((0.0, 0.0), (half, 1.0 - half))
 
     return rule
 
@@ -195,7 +195,7 @@ def test_monotonicity_cs_threshold_drop():
 
 
 def test_monotonicity_constant_rule_passes():
-    constant = lambda p: Outcome((1.0,) * len(p), (0.0,) * len(p), False)
+    constant = lambda p: Outcome((1.0,) * len(p), (0.0,) * len(p))
     rng = np.random.default_rng(51)
     grid = tuple(np.linspace(0.0, 1.0, 50))
     assert check_monotonicity(constant, random_profiles(rng, 5), grid).passed
@@ -214,16 +214,14 @@ def test_monotonicity_rejects_unsorted_grid():
 
 
 def test_monotonicity_catches_increasing_rule():
-    increasing = lambda p: Outcome((min(1.0, p.values[0]),) * len(p), (0.0,) * len(p), False)
+    increasing = lambda p: Outcome((min(1.0, p.values[0]),) * len(p), (0.0,) * len(p))
     report = check_monotonicity(increasing, [TypeProfile((0.1, 0.2))], (0.1, 0.9))
     assert not report.passed
 
 
 def _time_jump_rule(jump):
     """Each agent gets time 0.5, plus ``jump`` once its own report reaches 0.5."""
-    return lambda p: Outcome(
-        tuple(0.5 + jump * (v >= 0.5) for v in p.values), (0.0,) * len(p), False
-    )
+    return lambda p: Outcome(tuple(0.5 + jump * (v >= 0.5) for v in p.values), (0.0,) * len(p))
 
 
 def test_monotonicity_flags_a_time_jump_above_its_tolerance():

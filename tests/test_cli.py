@@ -87,9 +87,17 @@ def test_allocate_gcsod_seed_recorded_and_deterministic(capsys):
         ("allocate --mechanism cs --profile 0.9,0.8 --t-c 0.5", "--t-c"),
         ("allocate --mechanism csod --profile 0.9,0.8 --grouping LR", "--grouping"),
         ("allocate --mechanism cs --profile 0.9,0.8 --seed 3", "--seed"),
+        ("allocate --mechanism gcsod --profile 0.9,0.8 --grouping LR --seed 3", "--seed"),
         ("audit --property sp --mechanism gcsod --profile 0.9,0.8 --t-c 0.5", "--t-c"),
     ],
-    ids=["simulate-t-c", "allocate-t-c", "allocate-grouping", "allocate-seed", "audit-t-c"],
+    ids=[
+        "simulate-t-c",
+        "allocate-t-c",
+        "allocate-grouping",
+        "allocate-seed",
+        "allocate-grouping-seed",
+        "audit-t-c",
+    ],
 )
 def test_options_that_do_not_apply_exit_one(capsys, command, flag):
     code, out, err = _run_capture(capsys, command.split())
@@ -98,11 +106,15 @@ def test_options_that_do_not_apply_exit_one(capsys, command, flag):
     assert flag in err
 
 
-def test_allocate_rejects_bad_profile(capsys):
-    code, _, err = _run_capture(
-        capsys, ["allocate", "--mechanism", "cs", "--profile", "0.9,oops"]
-    )
-    assert code == 1
+@pytest.mark.parametrize(
+    "profile",
+    ["0.9,oops", "0.9,,0.8", "0.9,0.8,"],
+    ids=["not-a-number", "empty-field", "trailing-comma"],
+)
+def test_allocate_rejects_bad_profile(capsys, profile):
+    # an empty field is an error, not an agent dropped from the profile
+    code, out, err = _run_capture(capsys, ["allocate", "--mechanism", "cs", "--profile", profile])
+    assert code == 1 and out == ""
     assert "profile" in err
 
 

@@ -1,5 +1,6 @@
 """Allocation rules: worked examples, invariants, and cross-checks."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -63,7 +64,7 @@ def test_profile_at_the_overflow_boundary_still_sells():
     profile = TypeProfile((sys.float_info.max / 2,) * 2)
     t_star, k_star = optimal_deadline(profile)
     assert 0.0 < t_star < 1.0 and k_star == 2
-    assert csod_allocate(profile) == Outcome((0.0, 0.0), (0.5, 0.5), sold=True)
+    assert csod_allocate(profile) == Outcome((0.0, 0.0), (0.5, 0.5))
     assert all(out.sold for out in gcsod_realizations(profile))
     assert sum(gcsod_expected(profile).payments) == pytest.approx(1.0, abs=1e-9)
 
@@ -96,16 +97,38 @@ def test_profile_replace_equals_a_fresh_profile():
 
 def test_outcome_invariants_enforced():
     with pytest.raises(ValueError):
-        Outcome((0.0, 1.2), (0.5, 0.5), sold=True)
+        Outcome((0.0, 1.2), (0.5, 0.5))
     with pytest.raises(ValueError):
-        Outcome((0.0,), (0.7,), sold=True)  # payments must total 1 when sold
+        Outcome((0.0,), (0.7,))  # payments must total 1 or all be 0
     with pytest.raises(ValueError):
-        Outcome((1.0,), (0.2,), sold=False)  # no payments when unsold
+        Outcome((1.0,), (0.2,))
     nan = float("nan")
     with pytest.raises(ValueError, match="non-negative"):
-        Outcome((0.0,), (nan,), sold=True)  # NaN is no payment, nor does it total 1
+        Outcome((0.0,), (nan,))  # NaN is no payment, nor does it total 1
     with pytest.raises(ValueError, match="non-negative"):
-        Outcome((0.0, 0.0), (nan, 1.0), sold=True)
+        Outcome((0.0, 0.0), (nan, 1.0))
+
+
+def test_outcome_reads_the_sale_off_its_payments():
+    # two fields, no sold argument: a run sells exactly when it charges someone
+    assert [f.name for f in dataclasses.fields(Outcome)] == ["times", "payments"]
+    assert not Outcome((1.0, 1.0), (0.0, -0.0)).sold
+    rng = np.random.default_rng(23)
+    profiles = [EXAMPLE_PROFILE, TypeProfile((0.0, 0.0, 0.0)), TypeProfile((1.0,))]
+    profiles += [p for n in (2, 5, 8) for p in _value_kinds(rng, n)]
+    seen = set()
+    for profile in profiles:
+        for out in (
+            cs_allocate(profile),
+            csd_allocate(profile, 0.0),
+            csd_allocate(profile, 0.35),
+            csod_allocate(profile),
+            *gcsod_realizations(profile),
+        ):
+            assert out.sold == any(out.payments), (profile, out)
+            assert out == Outcome(out.times, out.payments)
+            seen.add(out.sold)
+    assert seen == {True, False}
 
 
 def test_grouping_labels_validated():
@@ -151,18 +174,18 @@ def test_cs_example_profile_brute_force():
     members = brute_force_sharing_set(EXAMPLE_PROFILE.values)
     assert members == [2, 4]
     out = cs_allocate(EXAMPLE_PROFILE)
-    assert out == Outcome((0.0, 0.0, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25), sold=True)
+    assert out == Outcome((0.0, 0.0, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25))
 
 
 def test_cs_all_zero():
     out = cs_allocate(TypeProfile((0.0, 0.0, 0.0)))
-    assert out == Outcome((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), sold=False)
+    assert out == Outcome((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 
 
 def test_cs_single_buyer():
     # k=1 needs a value of 1; k=2 needs both at 0.5.
     out = cs_allocate(TypeProfile((1.0, 0.3)))
-    assert out == Outcome((0.0, 1.0), (1.0, 0.0), sold=True)
+    assert out == Outcome((0.0, 1.0), (1.0, 0.0))
 
 
 @given(values_strategy)
@@ -185,22 +208,22 @@ def test_cs_matches_brute_force_sharing_set(values):
 
 def test_csd_example_deadline_09():
     out = csd_allocate(EXAMPLE_PROFILE, 0.9)
-    assert out == Outcome((0.0, 0.0, 0.9, 0.9), (0.5, 0.5, 0.0, 0.0), sold=True)
+    assert out == Outcome((0.0, 0.0, 0.9, 0.9), (0.5, 0.5, 0.0, 0.0))
 
 
 def test_csd_example_deadline_07_better_for_free_riders():
     out = csd_allocate(EXAMPLE_PROFILE, 0.7)
-    assert out == Outcome((0.0, 0.0, 0.7, 0.7), (0.5, 0.5, 0.0, 0.0), sold=True)
+    assert out == Outcome((0.0, 0.0, 0.7, 0.7), (0.5, 0.5, 0.0, 0.0))
 
 
 def test_csd_example_deadline_05_fails():
     out = csd_allocate(EXAMPLE_PROFILE, 0.5)
-    assert out == Outcome((0.5, 0.5, 0.5, 0.5), (0.0, 0.0, 0.0, 0.0), sold=False)
+    assert out == Outcome((0.5, 0.5, 0.5, 0.5), (0.0, 0.0, 0.0, 0.0))
 
 
 def test_csd_zero_deadline_never_sells():
     out = csd_allocate(TypeProfile((5.0, 2.0)), 0.0)
-    assert out == Outcome((0.0, 0.0), (0.0, 0.0), sold=False)
+    assert out == Outcome((0.0, 0.0), (0.0, 0.0))
 
 
 def test_csd_rejects_bad_deadline():
@@ -294,7 +317,7 @@ def test_csod_is_csd_at_the_min_of_reciprocals_deadline(values):
 
 def test_csod_example_one():
     out = csod_allocate(EXAMPLE_PROFILE)
-    assert out == Outcome((0.0, 0.0, 0.625, 0.625), (0.5, 0.5, 0.0, 0.0), sold=True)
+    assert out == Outcome((0.0, 0.0, 0.625, 0.625), (0.5, 0.5, 0.0, 0.0))
 
 
 def test_csod_example_two():
@@ -306,7 +329,7 @@ def test_csod_example_two():
 
 def test_csod_all_zero():
     out = csod_allocate(TypeProfile((0.0, 0.0, 0.0)))
-    assert out == Outcome((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), sold=False)
+    assert out == Outcome((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 
 
 @given(values_strategy)
@@ -339,17 +362,17 @@ def test_csod_large_values_meet_their_own_deadline_price():
 
 def test_gcsod_example_split_one_three():
     out = gcsod_allocate(EXAMPLE_PROFILE, Grouping.from_string("LRRR"))
-    assert out == Outcome((1.0,) * 4, (0.0,) * 4, sold=False)
+    assert out == Outcome((1.0,) * 4, (0.0,) * 4)
 
 
 def test_gcsod_example_split_two_two():
     out = gcsod_allocate(EXAMPLE_PROFILE, Grouping.from_string("LLRR"))
-    assert out == Outcome((0.0, 0.0, 0.625, 0.625), (0.5, 0.5, 0.0, 0.0), sold=True)
+    assert out == Outcome((0.0, 0.0, 0.625, 0.625), (0.5, 0.5, 0.0, 0.0))
 
 
 def test_gcsod_all_zero():
     out = gcsod_allocate(TypeProfile((0.0, 0.0)), Grouping.from_string("LR"))
-    assert out == Outcome((1.0, 1.0), (0.0, 0.0), sold=False)
+    assert out == Outcome((1.0, 1.0), (0.0, 0.0))
 
 
 def test_gcsod_rejects_mismatched_grouping():
@@ -405,7 +428,7 @@ def test_gcsod_single_agent_full_value():
     # the agent buys alone at price 1
     for grouping in (Grouping(("L",)), Grouping(("R",))):
         out = gcsod_allocate(TypeProfile((1.0,)), grouping)
-        assert out == Outcome((0.0,), (1.0,), sold=True)
+        assert out == Outcome((0.0,), (1.0,))
 
 
 # ------------------------------------------------------------- gcsod_expected

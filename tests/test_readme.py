@@ -73,7 +73,7 @@ def test_library_quick_start_gives_the_stated_results():
         _run_quick_start()
     )
 
-    assert outcome == Outcome((0.0, 0.0, 0.625, 0.625), (0.5, 0.5, 0.0, 0.0), sold=True)
+    assert outcome == Outcome((0.0, 0.0, 0.625, 0.625), (0.5, 0.5, 0.0, 0.0))
     assert repr(outcome) in o_notes
 
     assert mx == 0.828125
