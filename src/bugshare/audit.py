@@ -2,9 +2,10 @@
 
 Everything here treats a mechanism as a black-box callable from a profile to
 an object carrying ``times`` and ``payments`` (an :class:`~bugshare.mechanisms.Outcome`
-or the expectation record of the randomized group rule).  Strategy-proofness
-is probed on misreport grids, individual rationality and budget balance on
-realized outcomes, and allocation-time monotonicity on report sweeps.  The
+or the expectation record of the randomized group rule), except ``check_bb``,
+which takes realized ``Outcome``s only.  Strategy-proofness is probed on
+misreport grids, individual rationality on truthful outcomes, budget balance
+on realized ones, and allocation-time monotonicity on report sweeps.  The
 payment identity of monotone single-parameter mechanisms doubles as an
 independent oracle for the charged payments.
 
@@ -117,6 +118,8 @@ def utility(value: float, times: Sequence[float], payments: Sequence[float], age
 
 def misreport_grid(n: int, deadline: float = 1.0, points: int = 50):
     """Uniform misreports on [0, 1] plus every 1/(k*deadline) entry threshold."""
+    if not 0.0 <= deadline <= 1.0:  # written so that NaN fails it
+        raise ValueError(f"deadline must lie in [0, 1], got {deadline}")
     grid = set(np.linspace(0.0, 1.0, points).tolist())
     if deadline > 0.0:
         grid.update(1.0 / (k * deadline) for k in range(1, n + 1))
@@ -177,6 +180,7 @@ def check_bb(
     group rule is checked per grouping).  An ``Outcome`` collects 1 or
     nothing, or it is not built, so what is left is that a run which does
     not sell releases nobody before time 1; csd at a deadline below 1 fails it.
+    Any other realization, such as an expectation record, raises ``TypeError``.
     """
     violations = []
     probes = 0
@@ -184,6 +188,12 @@ def check_bb(
         result = mechanism(profile)
         outcomes = [result] if isinstance(result, Outcome) else list(result)
         for out in outcomes:
+            if not isinstance(out, Outcome):
+                raise TypeError(
+                    "budget balance is checked on realized outcomes (for the group rule, "
+                    f"gcsod_realizations), not on {type(out).__name__} (the mechanism "
+                    f"returned {type(result).__name__})"
+                )
             probes += 1
             if not out.sold:
                 for agent, t in enumerate(out.times):

@@ -18,6 +18,7 @@ loads scipy.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -198,10 +199,23 @@ def sample(spec: DistributionSpec, count: int, seed: int) -> np.ndarray:
     return draw(spec, count, np.random.default_rng(seed))
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int: ``TypeError`` unless ``operator.index`` takes it, ``ValueError`` if < 1.
+
+    So numpy integers pass, and 2.5 or 2.0 fail as they do in ``sample``.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return count
+
+
 def discretize(spec: DistributionSpec, H: int) -> SegmentedDistribution:
     """Split the support into H equal segments and return their masses."""
-    if H < 1:
-        raise ValueError("H must be at least 1")
+    H = _count(H, "H")
     edges = spec.lo + (spec.hi - spec.lo) * np.arange(H + 1) / H
     edges[-1] = spec.hi  # hi * H / H can round past hi, outside the CDF's support
     probs = np.diff(cdf(spec, edges))

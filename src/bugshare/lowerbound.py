@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distributions import DistributionSpec, SegmentedDistribution, discretize
+from .distributions import DistributionSpec, SegmentedDistribution, _count, discretize
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -99,8 +99,7 @@ def build_common_constraints(
     """
     from scipy import sparse
 
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _count(n, "n")
     H, delta = seg.H, seg.delta
     P = np.array(seg.masses)
     pay = np.zeros((2, H + 1))

@@ -30,9 +30,9 @@ average it over all 2^n groupings, and every single-profile call of the
 rule reads its outcomes off it through ``_agent_table``.  No form stores a
 sold flag; ``Outcome.sold`` reads the sale off the payments.  The group rule
 fails to sell only in a tie at deadline 1 with k* = 0, where every time is
-already 1.  ``_prices`` is the one array form of the
-``QUALIFY_TOL`` price, shared with the Monte Carlo kernels of
-:mod:`bugshare.simulate`.
+already 1.  ``_deadlines``, ``_prices`` and ``_largest_k`` are the one array
+form of the optimal deadline, the ``QUALIFY_TOL`` price and k*, shared by
+``_sorted_table`` and the Monte Carlo kernels of :mod:`bugshare.simulate`.
 
 The ranks of all 2^n groupings are built once per n by
 ``_sorted_groupings``, the one place that refuses more than
@@ -306,6 +306,21 @@ def _prices(
     return prices
 
 
+def _deadlines(ks: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``_deadline``'s array form, 1/max(max over axis 0 of ks*values, 1).
+
+    ``ks`` is the column of k = 1..n or one side's ranks; ``out`` takes the products.
+    """
+    top = np.multiply(ks, values, out=out).max(axis=0)
+    np.maximum(top, 1.0, out=top)
+    return np.divide(1.0, top, out=top)
+
+
+def _largest_k(ks: np.ndarray, meets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``_max_k``'s array form, max over axis 0 of ks*meets; small unsigned ``ks`` save memory."""
+    return np.multiply(ks, meets, out=out).max(axis=0)
+
+
 def _grouping_ranks(left: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(left, rank, left_rank)`` of the (n, cols) groupings ``left``.
 
@@ -374,11 +389,11 @@ def _sorted_table(
     past it would qualify k* + 1.
     """
     v = sorted_desc[..., None]
-    dl = 1.0 / np.maximum((left_rank * v).max(axis=0), 1.0)
+    dl = _deadlines(left_rank, v)
     dr = dl[..., ::-1]
     own = np.minimum(dl, dr)
     extended = np.maximum(dl, dr)
-    k_left = (left_rank * (v >= _prices(rank, extended))).max(axis=0)
+    k_left = _largest_k(left_rank, v >= _prices(rank, extended))
     left_wins = (dl < dr) | ((dl == dr) & (k_left > 0))
     k_star = np.where(left_wins, k_left, k_left[..., ::-1])
     member = left == left_wins

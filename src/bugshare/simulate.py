@@ -25,13 +25,13 @@ reduction over the agents is an elementwise pass over n contiguous rows
 instead of a short loop per profile.  Each block is sorted once by the
 compare-exchange network ``_sort_columns``, built once per n: at n = 10 it
 takes 35 ns per profile, against 84 for ``np.sort`` along the agent axis.
-The row-wise deadline and k* (``_deadline_rows``, ``_kstar_rows``) are the
-twins of the scalar ``mechanisms._deadline`` and ``mechanisms._max_k``, and
-price through the same ``mechanisms._prices``.  The kernels reduce the
-decisions to the max and sum of the allocation times.  The group rule runs
-either with one sampled coin-flip vector per profile (``monte_carlo``) or
-over all 2^n groupings, for a block of profiles at once (``exact_grouping``,
-through ``mechanisms._sorted_table``).
+The deadlines, prices and k* are ``mechanisms._deadlines``, ``_prices`` and
+``_largest_k``, the array forms of the scalar ``_deadline`` and ``_max_k``,
+shared with the group rule's table.  The kernels reduce the decisions to the
+max and sum of the allocation times.  The group rule runs either with one
+sampled coin-flip vector per profile (``monte_carlo``) or over all 2^n
+groupings, for a block of profiles at once (``exact_grouping``, through
+``mechanisms._sorted_table``).
 
 One ``estimate`` call holds one ``_Workspace`` for all its chunks, so the
 draws, the coin flips and the kernels' (n, rows) scratch arrays are
@@ -56,9 +56,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import DistributionSpec, _to_values, draw, preimage
+from .distributions import DistributionSpec, _count, _to_values, draw, preimage
 from .lowerbound import max_delay_lower_bound, sum_delay_lower_bound
-from .mechanisms import _prices, _sorted_groupings, _sorted_table
+from .mechanisms import _deadlines, _largest_k, _prices, _sorted_groupings, _sorted_table
 
 MECHANISMS = ("cs", "csd", "csod", "gcsod")
 MODES = ("monte_carlo", "exact_grouping")
@@ -86,10 +86,8 @@ class SimulationConfig:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        object.__setattr__(self, "samples", _count(self.samples, "samples"))
+        object.__setattr__(self, "n", _count(self.n, "n"))
         if not np.isfinite(max(self.n, 2) * self.spec.hi):  # as ``TypeProfile`` asks of values
             raise ValueError(f"max(n, 2) * hi must be finite, got n={self.n}, hi={self.spec.hi}")
         if self.mechanism == "csd":
@@ -215,26 +213,6 @@ def _sort_columns(a: np.ndarray, work: _Workspace) -> np.ndarray:
     return a
 
 
-def _deadline_rows(sorted_desc: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Row-wise ``_deadline`` of agent-major sorted columns: 1/max(k*v_(k)), capped at 1."""
-    ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
-    products = np.multiply(ks, sorted_desc, out=work.get("products", sorted_desc.shape))
-    top = products.max(axis=0)
-    np.maximum(top, 1.0, out=top)
-    return np.divide(1.0, top, out=top)
-
-
-def _largest_k(meets: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Per column, the largest k whose k-th value meets its price, else 0.
-
-    k has the smallest unsigned type that holds n, so the (n, rows) product
-    is a fraction of the size of an int64 one.
-    """
-    n = meets.shape[0]
-    ks = np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None]
-    return np.multiply(meets, ks, out=work.get("ranks", meets.shape, ks.dtype)).max(axis=0)
-
-
 def _kstar_rows(sorted_desc: np.ndarray, levels: np.ndarray, work: _Workspace) -> np.ndarray:
     """Per column, the largest k whose k-th entry is at least level k, else 0.
 
@@ -244,15 +222,17 @@ def _kstar_rows(sorted_desc: np.ndarray, levels: np.ndarray, work: _Workspace) -
     estimate of cs and csd also runs it on sorted uniforms against the
     prices' preimages.
     """
+    n = sorted_desc.shape[0]
+    counts = np.arange(1, n + 1, dtype=np.min_scalar_type(n))[:, None]
     meets = np.greater_equal(sorted_desc, levels, out=work.get("meets", sorted_desc.shape, bool))
-    return _largest_k(meets, work)
+    return _largest_k(counts, meets, work.get("ranks", meets.shape, counts.dtype))
 
 
 def _priced_kstar(sorted_desc: np.ndarray, deadlines: np.ndarray, work: _Workspace) -> np.ndarray:
     """Row-wise ``_max_k`` of agent-major sorted values at their deadlines."""
     ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
-    # the prices share "products" with ``_deadline_rows``, whose products are
-    # reduced before anything is priced
+    # the prices share "products" with ``batch_csod_delays``' deadlines, whose
+    # products are reduced before anything is priced
     shape = np.broadcast(ks, deadlines).shape
     prices = _prices(ks, deadlines, (work.get("products", shape), work.get("slack", shape)))
     return _kstar_rows(sorted_desc, prices, work)
@@ -352,7 +332,8 @@ def batch_csod_delays(
     """(max delay, sum delay) per row under the optimal-deadline rule."""
     work = _Workspace() if work is None else work
     sorted_desc = _sorted_desc(values, work)
-    deadlines = _deadline_rows(sorted_desc, work)
+    ks = np.arange(1, values.shape[1] + 1)[:, None]
+    deadlines = _deadlines(ks, sorted_desc, work.get("products", sorted_desc.shape))
     # a row such as (DBL_MAX/2, DBL_MAX/2) has a subnormal deadline, whose
     # k = 1 price overflows to inf and its slack turns into NaN; no value
     # meets that, nor the same NaN in ``_max_k``, so k* is already right
@@ -395,6 +376,7 @@ def batch_gcsod_delays(
     left = _agent_major(left, "left", work, bool)
     shape = left.shape
     ks = np.arange(1, shape[0] + 1)[:, None]
+    counts = ks.astype(np.min_scalar_type(shape[0]))
     # (2 * left - 1) * values, the same bits as values * (2 * left - 1); the
     # values are read only here, before the deadlines' products overwrite them
     s = np.multiply(left, 2.0, out=work.get("signed", shape))
@@ -402,9 +384,9 @@ def batch_gcsod_delays(
     s *= _agent_major(values, "products", work)
     s = _sort_columns(s, work)
     l_sorted = s[::-1]
-    dl = _deadline_rows(l_sorted, work)
+    dl = _deadlines(ks, l_sorted, work.get("products", shape))
     np.negative(s, out=s)
-    dr = _deadline_rows(s, work)
+    dr = _deadlines(ks, s, work.get("products", shape))
     own = np.minimum(dl, dr)
     extended = np.maximum(dl, dr)
     prices = _prices(ks, extended, (work.get("products", shape), work.get("slack", shape)))
@@ -415,7 +397,7 @@ def batch_gcsod_delays(
     meets &= left_wins
     other &= ~left_wins
     meets |= other
-    k_star = _largest_k(meets, work)
+    k_star = _largest_k(counts, meets, work.get("ranks", shape, counts.dtype))
     # the flips are dead after this count, so the winners' mask overwrites them
     n_win = np.add.reduce(np.equal(left, left_wins, out=left), axis=0, dtype=k_star.dtype)
     # the tail works branch-free, on counts of k*'s small unsigned type: a

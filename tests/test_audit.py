@@ -30,6 +30,7 @@ from bugshare.mechanisms import (
     csod_allocate,
     gcsod_allocate,
     gcsod_expected,
+    gcsod_realizations,
 )
 
 from helpers import EXAMPLE_PROFILE, brute_force_sharing_set, enumerate_gcsod, random_profiles
@@ -96,6 +97,15 @@ def test_misreport_grid_contains_thresholds():
     for k in (1, 2, 3, 4):
         assert 1.0 / (k * 0.625) in grid
     assert grid == tuple(sorted(grid))
+
+
+@pytest.mark.parametrize("deadline", [float("nan"), -0.1, 1.5])
+def test_misreport_grid_rejects_a_deadline_outside_the_unit_interval(deadline):
+    # a NaN or negative deadline used to drop the thresholds without a word
+    with pytest.raises(ValueError, match=r"deadline must lie in \[0, 1\]"):
+        misreport_grid(3, deadline, 5)
+    # deadline 0 has no finite threshold: the bare grid
+    assert misreport_grid(3, 0.0, 5) == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 # ------------------------------------------------------------------- check_ir
@@ -179,6 +189,18 @@ def test_bb_gcsod_all_realizations():
     profiles = random_profiles(rng, 40, n_low=1, n_high=6)
     realizations = lambda p: [out for _, out in enumerate_gcsod(p)]
     assert check_bb(realizations, profiles).passed
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [gcsod_expected, lambda p: [gcsod_expected(p)]],
+    ids=["expectation-record", "list-of-expectation-records"],
+)
+def test_bb_refuses_what_is_not_a_realized_outcome(mechanism):
+    # an expectation record has no sale to balance; its realizations do
+    with pytest.raises(TypeError, match="realized outcomes .*gcsod_realizations"):
+        check_bb(mechanism, [TypeProfile((0.9, 0.8))])
+    assert check_bb(gcsod_realizations, [TypeProfile((0.9, 0.8))]).passed
 
 
 # ----------------------------------------------------------- check_monotonicity

@@ -174,6 +174,8 @@ def test_preimage_of_levels_outside_the_values():
 def test_sample_rejects_bad_count():
     with pytest.raises(ValueError):
         sample(UNIFORM, 0, seed=1)
+    with pytest.raises(TypeError):  # through numpy, as the other counts through ``_count``
+        sample(UNIFORM, 2.5, seed=1)
 
 
 @pytest.mark.parametrize("spec", [UNIFORM, NORMAL_02, NORMAL_04], ids=lambda s: s.label())
@@ -217,6 +219,14 @@ def test_discretize_uniform_density_recovery():
     for H in (10, 100, 1000):
         seg = discretize(UNIFORM, H)
         assert max(abs(m * H - 1.0) for m in seg.masses) < 1e-9
+
+
+@pytest.mark.parametrize("H", [2.5, 2.0])
+def test_discretize_takes_an_integer_count(H):
+    # 2.5 used to fail on "need exactly H masses", and 2.0 built two segments
+    with pytest.raises(TypeError, match=r"^H must be an integer, got 2\.[05]$"):
+        discretize(UNIFORM, H)
+    assert discretize(UNIFORM, np.int64(4)) == discretize(UNIFORM, 4)
 
 
 def test_segmented_distribution_validation():

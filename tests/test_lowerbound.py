@@ -322,6 +322,22 @@ def test_bounds_reject_support_not_starting_at_zero():
             bound(spec, 2, 50)
 
 
+# 2.5 agents used to give a sum bound of 0.625 and a max bound of 0.4327
+@pytest.mark.parametrize("count", [2.5, 2.0])
+@pytest.mark.parametrize("argument", ["n", "H"])
+def test_bounds_take_integer_counts(argument, count):
+    counts = {"n": 2, "H": 10, argument: count}
+    for bound in (sum_delay_lower_bound, max_delay_lower_bound):
+        with pytest.raises(TypeError, match=f"^{argument} must be an integer"):
+            bound(UNIFORM, counts["n"], counts["H"])
+    if argument == "n":
+        with pytest.raises(TypeError, match="^n must be an integer"):
+            build_common_constraints(discretize(UNIFORM, 10), count)
+    # numpy integers are counts
+    bound = sum_delay_lower_bound(UNIFORM, np.int64(2), np.uint8(10))
+    assert bound == sum_delay_lower_bound(UNIFORM, 2, 10)
+
+
 def test_per_agent_sum_bound_monotone_in_n():
     values = [sum_delay_lower_bound(UNIFORM, n, 40) / n for n in (1, 2, 3, 5, 8)]
     for a, b in zip(values, values[1:]):

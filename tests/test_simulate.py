@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bugshare import mechanisms
 from bugshare.distributions import DistributionSpec, _to_values, cdf, draw
 from bugshare.mechanisms import (
     Grouping,
@@ -221,6 +222,39 @@ def test_kernels_match_scalar_rules_on_the_whole_accepted_domain(block):
         for (mx, sm), out in zip(kernels, rules):
             assert mx[r] == max(out.times)
             assert sm[r] == pytest.approx(math.fsum(out.times), rel=2**-50, abs=0)
+
+
+# The array forms of the deadline and of k* are the scalar ones per column,
+# bit for bit, whether k is the column 1..n or a grouping's left ranks, over
+# the tie grid, the accepted domain's top (a subnormal deadline whose k = 1
+# price overflows) and all-zero columns.
+@pytest.mark.parametrize("n", range(1, 9))
+def test_array_deadline_and_largest_k_match_the_scalar_forms(n):
+    rng = np.random.default_rng(900 + n)
+    top = _largest_accepted(n)
+    pool = np.array(TIE_GRID + (top, top / 2))
+    columns = np.concatenate(
+        [rng.choice(pool, (n, 60)), np.zeros((n, 1)), np.full((n, 1), top)], axis=1
+    )
+    v = -np.sort(-columns, axis=0)
+    ks = np.arange(1, n + 1)[:, None]
+    counts = ks.astype(np.min_scalar_type(n))
+    deadlines = mechanisms._deadlines(ks, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_star = mechanisms._largest_k(counts, v >= mechanisms._prices(ks, deadlines))
+    left, rank, left_rank = mechanisms._sorted_groupings(n)
+    for c in range(v.shape[1]):
+        col = v[:, c].tolist()
+        assert deadlines[c] == mechanisms._deadline(col)
+        assert k_star[c] == mechanisms._max_k(col, float(deadlines[c]))
+        sides = mechanisms._deadlines(left_rank, v[:, c : c + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            meets = v[:, c : c + 1] >= mechanisms._prices(rank, sides)
+        side_k = mechanisms._largest_k(left_rank, meets)
+        for g in range(left.shape[1]):
+            members = [x for x, member in zip(col, left[:, g]) if member]
+            assert sides[g] == (mechanisms._deadline(members) if members else 1.0)
+            assert side_k[g] == mechanisms._max_k(members, float(sides[g]))
 
 
 # ``gcsod_expected`` averages a table built over the agents in sorted order
@@ -684,6 +718,20 @@ def test_config_validation():
     for n, hi in ((2, 1e308), (3, sys.float_info.max / 3), (1, sys.float_info.max)):
         with pytest.raises(ValueError, match="hi must be finite"):
             SimulationConfig("csod", DistributionSpec("uniform", 0.0, hi), n=n, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0])
+@pytest.mark.parametrize("field", ["n", "samples"])
+def test_config_takes_integer_counts(field, count):
+    # n = 2.5 used to build, and ``estimate`` then failed inside numpy
+    counts = {"n": 2, "samples": 100, field: count}
+    with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+        SimulationConfig("gcsod", UNIFORM, seed=0, **counts)
+    # numpy integers are counts, stored as ints
+    config = SimulationConfig("gcsod", UNIFORM, n=np.int64(2), samples=np.uint8(100), seed=0)
+    assert type(config.n) is int and type(config.samples) is int
+    plain = SimulationConfig("gcsod", UNIFORM, n=2, samples=100, seed=0)
+    assert estimate(config) == estimate(plain)
 
 
 @pytest.mark.parametrize("mechanism", ["cs", "csod", "gcsod"])
