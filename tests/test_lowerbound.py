@@ -334,8 +334,8 @@ def test_bounds_take_integer_counts(argument, count):
         with pytest.raises(TypeError, match="^n must be an integer"):
             build_common_constraints(discretize(UNIFORM, 10), count)
     # numpy integers are counts
-    bound = sum_delay_lower_bound(UNIFORM, np.int64(2), np.uint8(10))
-    assert bound == sum_delay_lower_bound(UNIFORM, 2, 10)
+    value = sum_delay_lower_bound(UNIFORM, np.int64(2), np.uint8(10))
+    assert value == sum_delay_lower_bound(UNIFORM, 2, 10)
 
 
 def test_per_agent_sum_bound_monotone_in_n():
