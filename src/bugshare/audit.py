@@ -25,12 +25,14 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
+from .distributions import _count
 from .mechanisms import (
     BUDGET_TOL,
     QUALIFY_TOL,
     Outcome,
     TypeProfile,
     _check_agent,
+    _check_deadline,
     csod_allocate,
     gcsod_expected,
 )
@@ -118,9 +120,10 @@ def utility(value: float, times: Sequence[float], payments: Sequence[float], age
 
 def misreport_grid(n: int, deadline: float = 1.0, points: int = 50):
     """Uniform misreports on [0, 1] plus every 1/(k*deadline) entry threshold."""
-    if not 0.0 <= deadline <= 1.0:  # written so that NaN fails it
-        raise ValueError(f"deadline must lie in [0, 1], got {deadline}")
-    grid = set(np.linspace(0.0, 1.0, points).tolist())
+    _check_deadline(deadline)
+    n = _count(n, "n")
+    # at least both ends of [0, 1], the floor of a monotonicity sweep
+    grid = set(np.linspace(0.0, 1.0, _count(points, "points", 2)).tolist())
     if deadline > 0.0:
         grid.update(1.0 / (k * deadline) for k in range(1, n + 1))
     return tuple(sorted(grid))
@@ -240,8 +243,7 @@ def myerson_payment(
     report; for a strategy-proof mechanism the result matches the charged
     payment up to the integration step, making this an independent oracle.
     """
-    if integration_grid_size < 1:
-        raise ValueError("integration grid must have at least one cell")
+    integration_grid_size = _count(integration_grid_size, "integration_grid_size")
     _check_agent(agent, len(profile))
     value = profile.values[agent]
     t_truth = mechanism(profile).times[agent]
@@ -261,8 +263,7 @@ def alpha(k: int) -> float:
     Average over the binomial split sizes of k / max(1, min(left, right)),
     evaluated in exact rational arithmetic before the final conversion.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _count(k, "k")
     total = Fraction(0)
     for k_left in range(k + 1):
         weight = math.comb(k, k_left) * k
@@ -272,9 +273,7 @@ def alpha(k: int) -> float:
 
 def verify_alpha_bound(k_max: int) -> bool:
     """True iff the split stretch factor stays below 4 for every k up to k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    return all(alpha(k) < MAX_DELAY_BOUND for k in range(1, k_max + 1))
+    return all(alpha(k) < MAX_DELAY_BOUND for k in range(1, _count(k_max, "k_max") + 1))
 
 
 def _check_competitive(profile: TypeProfile, objective: str) -> CompetitiveReport:

@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import audit as audit_mod
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, _count
 from .lowerbound import SolverError, _max_delay_search, sum_delay_lower_bound
 from .mechanisms import (
     Grouping,
@@ -35,6 +35,8 @@ from .mechanisms import (
     optimal_deadline,
 )
 from .simulate import (
+    MECHANISMS,
+    MODES,
     SimulationConfig,
     estimate,
     reproduce_table,
@@ -72,17 +74,11 @@ def _emit(text: str, output: str | None) -> None:
 def _mechanism_rule(name: str, t_c: float | None):
     if t_c is not None and name != "csd":
         raise _UsageError(f"--t-c only applies to --mechanism csd, not {name}")
-    if name == "cs":
-        return cs_allocate
     if name == "csd":
         if t_c is None:
             raise _UsageError("--mechanism csd requires --t-c")
         return lambda p: csd_allocate(p, t_c)
-    if name == "csod":
-        return csod_allocate
-    if name == "gcsod":
-        return gcsod_expected
-    raise _UsageError(f"unknown mechanism {name!r}")
+    return {"cs": cs_allocate, "csod": csod_allocate, "gcsod": gcsod_expected}[name]
 
 
 def _build_parser() -> _Parser:
@@ -90,7 +86,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     alloc = sub.add_parser("allocate", help="run one mechanism on one profile")
-    alloc.add_argument("--mechanism", required=True, choices=["cs", "csd", "csod", "gcsod"])
+    alloc.add_argument("--mechanism", required=True, choices=MECHANISMS)
     alloc.add_argument("--profile", required=True, help="comma-separated valuations")
     alloc.add_argument("--t-c", type=float, default=None, help="deadline for csd")
     alloc.add_argument("--grouping", default=None, help="explicit L/R labels for gcsod")
@@ -99,7 +95,7 @@ def _build_parser() -> _Parser:
 
     aud = sub.add_parser("audit", help="check a mechanism property on given profiles")
     aud.add_argument("--property", required=True, choices=["sp", "ir", "bb", "mono"])
-    aud.add_argument("--mechanism", required=True, choices=["cs", "csd", "csod", "gcsod"])
+    aud.add_argument("--mechanism", required=True, choices=MECHANISMS)
     aud.add_argument("--profile", action="append", required=True, help="repeatable")
     aud.add_argument("--t-c", type=float, default=None)
     aud.add_argument("--points", type=int, default=50, help="misreport/sweep grid size")
@@ -118,12 +114,12 @@ def _build_parser() -> _Parser:
     low.add_argument("--output", default=None)
 
     sim = sub.add_parser("simulate", help="expected delays of one mechanism")
-    sim.add_argument("--mechanism", required=True, choices=["cs", "csd", "csod", "gcsod"])
+    sim.add_argument("--mechanism", required=True, choices=MECHANISMS)
     sim.add_argument("--dist", required=True)
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--samples", type=int, default=1_000_000)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--mode", choices=["monte_carlo", "exact_grouping"], default="monte_carlo")
+    sim.add_argument("--mode", choices=MODES, default="monte_carlo")
     sim.add_argument("--t-c", type=float, default=None)
     sim.add_argument("--output", default=None)
 
@@ -138,13 +134,10 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_allocate(args) -> int:
-    for flag, value, owner in (
-        ("--t-c", args.t_c, "csd"),
-        ("--grouping", args.grouping, "gcsod"),
-        ("--seed", args.seed, "gcsod"),
-    ):
-        if value is not None and args.mechanism != owner:
-            raise _UsageError(f"{flag} only applies to --mechanism {owner}")
+    rule = _mechanism_rule(args.mechanism, args.t_c)  # refuses --t-c for gcsod too
+    for flag, value in (("--grouping", args.grouping), ("--seed", args.seed)):
+        if value is not None and args.mechanism != "gcsod":
+            raise _UsageError(f"{flag} only applies to --mechanism gcsod")
     if args.grouping is not None and args.seed is not None:
         raise _UsageError("--seed does not apply with --grouping, which fixes the coin flips")
     profile = _parse_profile(args.profile)
@@ -159,7 +152,7 @@ def _cmd_allocate(args) -> int:
             outcome = gcsod_sample(profile, seed)
             payload["seed"] = seed
     else:
-        outcome = _mechanism_rule(args.mechanism, args.t_c)(profile)
+        outcome = rule(profile)
         if args.mechanism == "csd":
             payload["t_c"] = args.t_c
         elif args.mechanism == "csod":
@@ -193,9 +186,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    if args.kmax < 1:
-        raise _UsageError("--kmax must be at least 1")
-    values = {k: audit_mod.alpha(k) for k in range(1, args.kmax + 1)}
+    values = {k: audit_mod.alpha(k) for k in range(1, _count(args.kmax, "--kmax") + 1)}
     holds = all(v < audit_mod.MAX_DELAY_BOUND for v in values.values())
     payload = {
         "alpha": {str(k): v for k, v in values.items()},

@@ -90,8 +90,7 @@ class SegmentedDistribution:
     masses: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.H < 1:
-            raise ValueError("H must be at least 1")
+        _count(self.H, "H")
         if len(self.masses) != self.H:
             raise ValueError("need exactly H masses")
         if any(m < 0.0 for m in self.masses):
@@ -194,22 +193,22 @@ def preimage(spec: DistributionSpec, levels) -> np.ndarray:
 
 def sample(spec: DistributionSpec, count: int, seed: int) -> np.ndarray:
     """``count`` i.i.d. draws, reproducible bit for bit per (spec, count, seed)."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    return draw(spec, count, np.random.default_rng(seed))
+    return draw(spec, _count(count, "count"), np.random.default_rng(_count(seed, "seed", 0)))
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int: ``TypeError`` unless ``operator.index`` takes it, ``ValueError`` if < 1.
+def _count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int: ``TypeError`` unless it is one, ``ValueError`` if below ``least``.
 
-    So numpy integers pass, and 2.5 or 2.0 fail as they do in ``sample``.
+    The library's one check of a count, a size or a seed.  An integer is a
+    value whose type has ``__index__``, as ``operator.index`` asks, so numpy
+    integers pass and 2.5 and 2.0 fail; ``True`` fails too, since a bool is
+    not a count.
     """
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if count < 1:
-        raise ValueError(f"{name} must be at least 1")
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    count = operator.index(value)
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}")
     return count
 
 

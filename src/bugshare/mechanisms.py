@@ -51,6 +51,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .distributions import _count
+
 # Slack for every "value is at least price = 1/(k * deadline)" test, so that
 # boundary profiles such as (0.5, 0.5) behave identically across platforms.
 # It is absolute for prices up to 1 and relative above, where 1e-12 would fall
@@ -97,6 +99,12 @@ def _check_agent(agent: int, n: int) -> None:
     """``IndexError`` unless ``agent`` is in range(n): a negative index is no agent."""
     if not 0 <= agent < n:
         raise IndexError(f"agent {agent} is out of range for {n} agents")
+
+
+def _check_deadline(t_c: float) -> None:
+    """``ValueError`` unless the deadline ``t_c`` lies in [0, 1], NaN included."""
+    if not 0.0 <= t_c <= 1.0:  # written so that NaN fails it
+        raise ValueError(f"deadline must lie in [0, 1], got {t_c}")
 
 
 def _valuation(value: float, n: int) -> float:
@@ -229,8 +237,7 @@ def csd_allocate(profile: TypeProfile, t_c: float) -> Outcome:
     that outcome breaks ex post budget balance by construction; the audit
     module is the place that flags it.
     """
-    if not 0.0 <= t_c <= 1.0:
-        raise ValueError(f"deadline must lie in [0, 1], got {t_c}")
+    _check_deadline(t_c)
     return _csd_outcome(profile.values, sorted(profile.values, reverse=True), t_c)
 
 
@@ -279,7 +286,7 @@ def gcsod_sample(profile: TypeProfile, seed: int) -> Outcome:
 
     Agent i goes to the left group when the i-th uniform draw is below 1/2.
     """
-    left = np.random.default_rng(seed).random(len(profile)) < 0.5
+    left = np.random.default_rng(_count(seed, "seed", 0)).random(len(profile)) < 0.5
     return _realized(profile, np.stack([left, ~left], axis=1))[0]
 
 

@@ -58,7 +58,9 @@ import numpy as np
 
 from .distributions import DistributionSpec, _count, _to_values, draw, preimage
 from .lowerbound import max_delay_lower_bound, sum_delay_lower_bound
-from .mechanisms import _deadlines, _largest_k, _prices, _sorted_groupings, _sorted_table
+from .mechanisms import (
+    _check_deadline, _deadlines, _largest_k, _prices, _sorted_groupings, _sorted_table
+)
 
 MECHANISMS = ("cs", "csd", "csod", "gcsod")
 MODES = ("monte_carlo", "exact_grouping")
@@ -86,13 +88,16 @@ class SimulationConfig:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "samples", _count(self.samples, "samples"))
+        # two samples at least, so that the standard errors are estimates
+        object.__setattr__(self, "samples", _count(self.samples, "samples", 2))
         object.__setattr__(self, "n", _count(self.n, "n"))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         if not np.isfinite(max(self.n, 2) * self.spec.hi):  # as ``TypeProfile`` asks of values
             raise ValueError(f"max(n, 2) * hi must be finite, got n={self.n}, hi={self.spec.hi}")
         if self.mechanism == "csd":
-            if self.t_c is None or not 0.0 <= self.t_c <= 1.0:
+            if self.t_c is None:
                 raise ValueError("csd needs a deadline t_c in [0, 1]")
+            _check_deadline(self.t_c)
         elif self.t_c is not None:
             raise ValueError(f"t_c only applies to csd, not {self.mechanism}")
         if self.mode == "exact_grouping":
@@ -473,8 +478,7 @@ def estimate(config: SimulationConfig) -> SimulationReport:
 
     count = config.samples
     mean = total / count
-    # one sample has total_sq == mean**2 exactly, so its standard error is 0
-    var = np.maximum(total_sq - count * mean**2, 0.0) / max(count - 1, 1)
+    var = np.maximum(total_sq - count * mean**2, 0.0) / (count - 1)
     stderr = np.sqrt(var / count)
     return SimulationReport(
         expected_max_delay=float(mean[0]),

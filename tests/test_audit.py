@@ -108,6 +108,24 @@ def test_misreport_grid_rejects_a_deadline_outside_the_unit_interval(deadline):
     assert misreport_grid(3, 0.0, 5) == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+@pytest.mark.parametrize(
+    "n, points, error, message",
+    [
+        (2, 0, ValueError, "points must be at least 2"),
+        (2, 1, ValueError, "points must be at least 2"),
+        (2, 2.5, TypeError, "points must be an integer, got 2.5"),
+        (0, 50, ValueError, "n must be at least 1"),
+        (2.5, 50, TypeError, "n must be an integer, got 2.5"),
+    ],
+    ids=["no-points", "one-point", "fractional-points", "no-agents", "fractional-agents"],
+)
+def test_misreport_grid_takes_integer_sizes(n, points, error, message):
+    # points = 0 left only the entry thresholds, and n = 0 only the uniform grid
+    with pytest.raises(error, match=f"^{message}$"):
+        misreport_grid(n, 1.0, points)
+    assert misreport_grid(np.int64(2), 1.0, np.int64(2)) == (0.0, 0.5, 1.0)
+
+
 # ------------------------------------------------------------------- check_ir
 
 

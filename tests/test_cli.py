@@ -159,6 +159,16 @@ def test_audit_mono_rejects_a_one_point_sweep(capsys):
     assert err == "error: monotonicity needs at least two grid points\n"
 
 
+def test_audit_sp_rejects_a_grid_without_both_ends(capsys):
+    # it used to pass on the 4 entry-threshold probes alone
+    argv = ["audit", "--property", "sp", "--mechanism", "cs", "--profile", "0.9,0.8"]
+    assert _run_capture(capsys, [*argv, "--points", "0"]) == (
+        1,
+        "",
+        "error: points must be at least 2\n",
+    )
+
+
 def test_audit_sp_cs_passes(capsys):
     code, out, _ = _run_capture(
         capsys,
@@ -236,6 +246,20 @@ def test_audit_multiple_profiles(capsys):
     )
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "allocate --mechanism gcsod --profile 0.9,0.8 --seed -1",
+        "simulate --mechanism cs --dist U(0,1) --n 2 --samples 10 --seed -1",
+        "table --samples 10 --H 5 --seed -1",
+    ],
+    ids=["allocate", "simulate", "table"],
+)
+def test_negative_seed_exits_one(capsys, command):
+    # numpy's own "expected non-negative integer" used to be the message
+    assert _run_capture(capsys, command.split()) == (1, "", "error: seed must be at least 0\n")
 
 
 # --------------------------------------------------------------------- alpha

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
+from bugshare.audit import alpha, myerson_payment, verify_alpha_bound
 from bugshare.distributions import (
     DistributionSpec,
     SegmentedDistribution,
@@ -14,6 +15,9 @@ from bugshare.distributions import (
     preimage,
     sample,
 )
+from bugshare.lowerbound import max_delay_lower_bound, sum_delay_lower_bound
+from bugshare.mechanisms import TypeProfile, cs_allocate
+from bugshare.simulate import SimulationConfig
 
 UNIFORM = DistributionSpec.parse("U(0,1)")
 NORMAL_02 = DistributionSpec.parse("N(0.5,0.2)")
@@ -174,7 +178,7 @@ def test_preimage_of_levels_outside_the_values():
 def test_sample_rejects_bad_count():
     with pytest.raises(ValueError):
         sample(UNIFORM, 0, seed=1)
-    with pytest.raises(TypeError):  # through numpy, as the other counts through ``_count``
+    with pytest.raises(TypeError):  # through ``_count``, as every other count
         sample(UNIFORM, 2.5, seed=1)
 
 
@@ -227,6 +231,31 @@ def test_discretize_takes_an_integer_count(H):
     with pytest.raises(TypeError, match=r"^H must be an integer, got 2\.[05]$"):
         discretize(UNIFORM, H)
     assert discretize(UNIFORM, np.int64(4)) == discretize(UNIFORM, 4)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("k", lambda: alpha(True)),
+        ("k_max", lambda: verify_alpha_bound(True)),
+        ("samples", lambda: SimulationConfig("cs", UNIFORM, n=True, samples=True, seed=0)),
+        ("n", lambda: SimulationConfig("cs", UNIFORM, n=True, samples=10, seed=0)),
+        ("n", lambda: sum_delay_lower_bound(UNIFORM, True, 10)),
+        ("H", lambda: max_delay_lower_bound(UNIFORM, 2, True)),
+        ("H", lambda: discretize(UNIFORM, True)),
+        ("count", lambda: sample(UNIFORM, True, seed=1)),
+        (
+            "integration_grid_size",
+            lambda: myerson_payment(cs_allocate, 0, TypeProfile((0.9, 0.8)), True),
+        ),
+    ],
+    ids=["alpha", "verify_alpha_bound", "samples", "n", "sum_bound", "max_bound", "discretize",
+         "sample", "myerson_payment"],
+)
+def test_a_bool_is_not_a_count(name, call):
+    # each of these ran as 1: alpha(True) gave 1.0, and the Myerson payment 0.9
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got True$"):
+        call()
 
 
 def test_segmented_distribution_validation():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bugshare import mechanisms
-from bugshare.distributions import DistributionSpec, _to_values, cdf, draw
+from bugshare.distributions import DistributionSpec, _to_values, cdf, draw, sample
 from bugshare.mechanisms import (
     Grouping,
     TypeProfile,
@@ -20,6 +20,7 @@ from bugshare.mechanisms import (
     gcsod_allocate,
     gcsod_expected,
     gcsod_realizations,
+    gcsod_sample,
 )
 from bugshare.simulate import (
     SimulationConfig,
@@ -732,6 +733,49 @@ def test_config_takes_integer_counts(field, count):
     assert type(config.n) is int and type(config.samples) is int
     plain = SimulationConfig("gcsod", UNIFORM, n=2, samples=100, seed=0)
     assert estimate(config) == estimate(plain)
+
+
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [
+        (2.5, TypeError, "seed must be an integer, got 2.5"),
+        (-1, ValueError, "seed must be at least 0"),
+        (True, TypeError, "seed must be an integer, got True"),
+    ],
+    ids=["fraction", "negative", "bool"],
+)
+def test_seed_is_a_non_negative_integer(seed, error, message):
+    # 2.5 built a config and -1 failed inside numpy; True ran and reported seed True
+    for call in (
+        lambda: SimulationConfig("cs", UNIFORM, n=2, samples=10, seed=seed),
+        lambda: reproduce_table(H=5, samples=10, seed=seed),
+        lambda: gcsod_sample(TypeProfile((0.9, 0.8)), seed),
+        lambda: sample(UNIFORM, 3, seed),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+    # 0 and numpy integers are seeds, stored as ints
+    config = SimulationConfig("cs", UNIFORM, n=2, samples=10, seed=np.int64(0))
+    assert type(config.seed) is int
+    assert estimate(config) == estimate(dataclasses.replace(config, seed=0))
+
+
+def test_config_needs_two_samples():
+    # one sample reported standard errors of 0.0, which read as an exact value
+    with pytest.raises(ValueError, match="^samples must be at least 2$"):
+        SimulationConfig("gcsod", UNIFORM, n=5, samples=1, seed=0)
+    report = estimate(SimulationConfig("gcsod", UNIFORM, n=5, samples=2, seed=0))
+    assert report.samples_used == 2 and report.standard_error_sum > 0.0
+
+
+@pytest.mark.parametrize("t_c", [float("nan"), -0.1, 1.5])
+def test_config_rejects_a_deadline_outside_the_unit_interval(t_c):
+    # one check, so the config says what ``csd_allocate`` says
+    message = r"^deadline must lie in \[0, 1\], got "
+    with pytest.raises(ValueError, match=message):
+        SimulationConfig("csd", UNIFORM, n=2, samples=10, seed=0, t_c=t_c)
+    with pytest.raises(ValueError, match=message):
+        csd_allocate(TypeProfile((0.9, 0.8)), t_c)
 
 
 @pytest.mark.parametrize("mechanism", ["cs", "csod", "gcsod"])
