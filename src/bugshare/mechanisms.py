@@ -102,7 +102,7 @@ def _check_agent(agent: int, n: int) -> None:
 
 
 def _check_deadline(t_c: float) -> None:
-    """``ValueError`` unless the deadline ``t_c`` lies in [0, 1], NaN included."""
+    """``ValueError`` unless ``t_c`` lies in [0, 1]: the library's one check of a deadline."""
     if not 0.0 <= t_c <= 1.0:  # written so that NaN fails it
         raise ValueError(f"deadline must lie in [0, 1], got {t_c}")
 
