@@ -17,7 +17,6 @@ rule against the optimal-deadline rule profile by profile.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
@@ -84,9 +83,6 @@ class AuditReport:
             "probes": self.probes,
             "violations": [asdict(v) for v in self.violations],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass(frozen=True)

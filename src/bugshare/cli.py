@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: argparse, and the writer of every JSON and CSV output.
 
 Subcommands: ``allocate`` (run one mechanism on one profile), ``audit``
 (property checks with violation listings), ``alpha`` (the split-stretch
@@ -13,6 +13,8 @@ the optimal-deadline rule is gameable).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -34,15 +36,7 @@ from .mechanisms import (
     gcsod_sample,
     optimal_deadline,
 )
-from .simulate import (
-    MECHANISMS,
-    MODES,
-    SimulationConfig,
-    estimate,
-    reproduce_table,
-    table_to_csv,
-    table_to_json,
-)
+from .simulate import MECHANISMS, MODES, SimulationConfig, TableRow, estimate, reproduce_table
 
 
 class _UsageError(Exception):
@@ -61,7 +55,9 @@ def _parse_profile(text: str) -> TypeProfile:
         raise _UsageError(f"bad profile {text!r}: {exc}") from exc
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(payload, output: str | None) -> None:
+    """Write a ``str`` as it is and anything else as indented JSON, to ``output`` or stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     if not text.endswith("\n"):
         text += "\n"
     if output:
@@ -161,7 +157,7 @@ def _cmd_allocate(args) -> int:
     payload.update(
         {"times": list(outcome.times), "payments": list(outcome.payments), "sold": outcome.sold}
     )
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(payload, args.output)
     return 0
 
 
@@ -179,9 +175,9 @@ def _cmd_audit(args) -> int:
         realizations = gcsod_realizations if args.mechanism == "gcsod" else rule
         report = audit_mod.check_bb(realizations, profiles)
     else:
-        grid = tuple(np.linspace(0.0, 1.0, args.points))
+        grid = tuple(np.linspace(0.0, 1.0, _count(args.points, "points")))
         report = audit_mod.check_monotonicity(rule, profiles, grid)
-    _emit(report.to_json(), args.output)
+    _emit(report.to_dict(), args.output)
     return 0 if report.passed else 2
 
 
@@ -193,7 +189,7 @@ def _cmd_alpha(args) -> int:
         "bound": audit_mod.MAX_DELAY_BOUND,
         "bound_holds": holds,
     }
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(payload, args.output)
     return 0
 
 
@@ -211,7 +207,7 @@ def _cmd_lowerbound(args) -> int:
         payload.update(bound=value, truncation_point=point, lp_solves=solves)
     else:
         payload["bound"] = sum_delay_lower_bound(spec, args.n, args.H)
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(payload, args.output)
     return 0
 
 
@@ -229,15 +225,27 @@ def _cmd_simulate(args) -> int:
     report = estimate(config)
     payload = {"distribution": spec.label(), "n": args.n, "mechanism": args.mechanism}
     payload.update(asdict(report))
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(payload, args.output)
     return 0
 
 
 def _cmd_table(args) -> int:
     records = reproduce_table(H=args.H, samples=args.samples, seed=args.seed)
-    text = table_to_csv(records) if args.format == "csv" else table_to_json(records)
-    _emit(text, args.output)
+    if args.format == "csv":
+        _emit(table_to_csv(records), args.output)
+    else:
+        _emit([asdict(r) for r in records], args.output)
     return 0
+
+
+def table_to_csv(records: list[TableRow]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["distribution", "n", "mechanism", "objective", "value", "stderr"])
+    for r in records:
+        stderr = "" if r.stderr is None else f"{r.stderr:.6f}"
+        writer.writerow([r.distribution, r.n, r.mechanism, r.objective, f"{r.value:.6f}", stderr])
+    return buf.getvalue()
 
 
 _COMMANDS = {

@@ -96,7 +96,12 @@ class TypeProfile:
 
 
 def _check_agent(agent: int, n: int) -> None:
-    """``IndexError`` unless ``agent`` is in range(n): a negative index is no agent."""
+    """``TypeError`` unless ``agent`` is an integer, ``IndexError`` unless in range(n).
+
+    A bool is no agent, as in ``_count``, and neither is a negative index.
+    """
+    if isinstance(agent, bool) or not hasattr(type(agent), "__index__"):
+        raise TypeError(f"agent must be an integer, got {agent!r}")
     if not 0 <= agent < n:
         raise IndexError(f"agent {agent} is out of range for {n} agents")
 

@@ -47,11 +47,8 @@ U(0,1), N(0.5,0.2) and N(0.5,0.4) at n in {1, 2, 5, 10}.
 from __future__ import annotations
 
 import functools
-import io
-import json
 import math
-import csv as _csv
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -515,16 +512,3 @@ def reproduce_table(H: int = 100, samples: int = 1_000_000, seed: int = 0) -> li
             ]
     return records
 
-
-def table_to_csv(records: list[TableRow]) -> str:
-    buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["distribution", "n", "mechanism", "objective", "value", "stderr"])
-    for r in records:
-        stderr = "" if r.stderr is None else f"{r.stderr:.6f}"
-        writer.writerow([r.distribution, r.n, r.mechanism, r.objective, f"{r.value:.6f}", stderr])
-    return buf.getvalue()
-
-
-def table_to_json(records: list[TableRow]) -> str:
-    return json.dumps([asdict(row) for row in records], indent=2)

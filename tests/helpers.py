@@ -150,7 +150,7 @@ def random_profiles(rng, count, n_low=2, n_high=8, lo=0.0, hi=1.0):
 
 
 def table_from_csv(text: str) -> list[TableRow]:
-    """Parse ``simulate.table_to_csv`` output back into records."""
+    """Parse ``cli.table_to_csv`` output back into records."""
     return [
         TableRow(
             distribution=entry["distribution"],

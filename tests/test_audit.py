@@ -21,6 +21,7 @@ from bugshare.audit import (
     sum_delay,
     verify_alpha_bound,
 )
+from bugshare.cli import _emit
 from bugshare.mechanisms import (
     Grouping,
     Outcome,
@@ -326,6 +327,13 @@ def test_myerson_rejects_an_agent_out_of_range(agent):
             myerson_payment(cs_allocate, agent, TypeProfile(values), 100)
 
 
+@pytest.mark.parametrize("agent", [True, 1.5])
+def test_myerson_rejects_an_agent_that_is_no_integer(agent):
+    # True used to run as agent 1 and return 0.48
+    with pytest.raises(TypeError, match=f"agent must be an integer, got {agent!r}"):
+        myerson_payment(cs_allocate, agent, TypeProfile((0.9, 0.8, 0.3)), 10)
+
+
 def test_myerson_csd_example_payment():
     payment = myerson_payment(
         lambda p: csd_allocate(p, 0.9), 1, EXAMPLE_PROFILE, 10_000
@@ -461,14 +469,15 @@ def test_competitive_random_suite_within_bounds():
 # ---------------------------------------------------------------- reporting
 
 
-def test_audit_report_json_round_trip():
+def test_audit_report_json_round_trip(capsys):
     report = check_sp(csod_allocate, [EXAMPLE_PROFILE], (0.26,))
     assert not report.passed
     # the two agents whose value is 0.26 have no misreport on this grid
     assert report.probes == 2
     # the ``audit`` command prints these bytes: key order and indent are fixed
     one = AuditReport(report.property, report.violations[:1], report.probes)
-    assert one.to_json() == (
+    _emit(one.to_dict(), None)
+    assert capsys.readouterr().out == (
         "{\n"
         '  "property": "SP",\n'
         '  "passed": false,\n'
@@ -486,5 +495,5 @@ def test_audit_report_json_round_trip():
         '      "amount": 0.25\n'
         "    }\n"
         "  ]\n"
-        "}"
+        "}\n"
     )

@@ -159,6 +159,16 @@ def test_audit_mono_rejects_a_one_point_sweep(capsys):
     assert err == "error: monotonicity needs at least two grid points\n"
 
 
+def test_audit_mono_rejects_a_negative_sweep_size(capsys):
+    # numpy used to refuse it in its own words: "Number of samples, -3, must be non-negative."
+    argv = ["audit", "--property", "mono", "--mechanism", "cs", "--profile", "0.9,0.8"]
+    assert _run_capture(capsys, [*argv, "--points", "-3"]) == (
+        1,
+        "",
+        "error: points must be at least 1\n",
+    )
+
+
 def test_audit_sp_rejects_a_grid_without_both_ends(capsys):
     # it used to pass on the 4 entry-threshold probes alone
     argv = ["audit", "--property", "sp", "--mechanism", "cs", "--profile", "0.9,0.8"]

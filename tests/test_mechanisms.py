@@ -83,6 +83,13 @@ def test_profile_replace_rejects_an_agent_out_of_range(agent):
         profile.replace(agent, 0.5)
 
 
+@pytest.mark.parametrize("agent", [True, 1.5])
+def test_profile_replace_rejects_an_agent_that_is_no_integer(agent):
+    # True used to replace agent 1, and 1.5 reached Python's "list indices must be integers"
+    with pytest.raises(TypeError, match=f"agent must be an integer, got {agent!r}"):
+        TypeProfile((0.9, 0.8)).replace(agent, 0.5)
+
+
 def test_profile_replace_equals_a_fresh_profile():
     profile = TypeProfile((0.5, 0.6, 0.7))
     for agent, value in ((1, 1), (0, np.float64(0.25)), (2, 0.0)):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bugshare import mechanisms
+from bugshare.cli import run, table_to_csv
 from bugshare.distributions import DistributionSpec, _to_values, cdf, draw, sample
 from bugshare.mechanisms import (
     Grouping,
@@ -32,8 +33,6 @@ from bugshare.simulate import (
     batch_gcsod_delays,
     estimate,
     reproduce_table,
-    table_to_csv,
-    table_to_json,
     _Workspace,
 )
 
@@ -818,7 +817,7 @@ def test_lower_bounds_below_simulated_values_small_run():
                 assert bound <= cs_row.value + slack
 
 
-def test_table_csv_and_json_round_trip():
+def test_table_csv_and_json_round_trip(capsys):
     records = reproduce_table(H=5, samples=1_000, seed=13)
     parsed = table_from_csv(table_to_csv(records))
     assert len(parsed) == len(records)
@@ -832,7 +831,9 @@ def test_table_csv_and_json_round_trip():
         assert a.value == pytest.approx(b.value, abs=1e-6)
     import json
 
-    payload = json.loads(table_to_json(records))
+    # the JSON path is the ``table`` command's, on the same grid
+    assert run(["table", "--H", "5", "--samples", "1000", "--seed", "13", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert [TableRow(**d) for d in payload] == records
 
 
