@@ -67,6 +67,16 @@ def _emit(payload, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def table_to_csv(records: list[TableRow]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["distribution", "n", "mechanism", "objective", "value", "stderr"])
+    for r in records:
+        stderr = "" if r.stderr is None else f"{r.stderr:.6f}"
+        writer.writerow([r.distribution, r.n, r.mechanism, r.objective, f"{r.value:.6f}", stderr])
+    return buf.getvalue()
+
+
 def _mechanism_rule(name: str, t_c: float | None):
     if t_c is not None and name != "csd":
         raise _UsageError(f"--t-c only applies to --mechanism csd, not {name}")
@@ -231,21 +241,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_table(args) -> int:
     records = reproduce_table(H=args.H, samples=args.samples, seed=args.seed)
-    if args.format == "csv":
-        _emit(table_to_csv(records), args.output)
-    else:
-        _emit([asdict(r) for r in records], args.output)
+    payload = table_to_csv(records) if args.format == "csv" else [asdict(r) for r in records]
+    _emit(payload, args.output)
     return 0
-
-
-def table_to_csv(records: list[TableRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["distribution", "n", "mechanism", "objective", "value", "stderr"])
-    for r in records:
-        stderr = "" if r.stderr is None else f"{r.stderr:.6f}"
-        writer.writerow([r.distribution, r.n, r.mechanism, r.objective, f"{r.value:.6f}", stderr])
-    return buf.getvalue()
 
 
 _COMMANDS = {

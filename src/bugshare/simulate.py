@@ -511,4 +511,3 @@ def reproduce_table(H: int = 100, samples: int = 1_000_000, seed: int = 0) -> li
                 TableRow(label, n, "lower_bound", "sum", sum_delay_lower_bound(spec, n, H), None),
             ]
     return records
-
