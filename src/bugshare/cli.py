@@ -4,10 +4,14 @@ Subcommands: ``allocate`` (run one mechanism on one profile), ``audit``
 (property checks with violation listings), ``alpha`` (the split-stretch
 table and its bound verdict), ``lowerbound`` (one LP bound), ``simulate``
 (expected delays under a prior) and ``table`` (the full benchmark grid).
+Each command returns its payload and exit code; ``run`` writes the payload,
+to stdout or ``--output``, and turns usage, domain, solver and file errors
+into one ``error:`` line with exit 1.
 
-Exit codes: 0 on success, 1 on usage errors and on an LP bound the solver
-could not compute, 2 when an audit found violations (so CI can assert that
-the optimal-deadline rule is gameable).
+Exit codes: 0 on success, 1 on usage errors, on an LP bound the solver
+could not compute and on an ``--output`` that cannot be written, 2 when an
+audit found violations (so CI can assert that the optimal-deadline rule is
+gameable).
 """
 
 from __future__ import annotations
@@ -90,56 +94,57 @@ def _mechanism_rule(name: str, t_c: float | None):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bugshare", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    one_rule = argparse.ArgumentParser(add_help=False)  # shared by allocate, audit, simulate
+    one_rule.add_argument("--mechanism", required=True, choices=MECHANISMS)
+    one_rule.add_argument("--t-c", type=float, default=None, help="deadline for csd")
 
-    alloc = sub.add_parser("allocate", help="run one mechanism on one profile")
-    alloc.add_argument("--mechanism", required=True, choices=MECHANISMS)
+    alloc = sub.add_parser("allocate", parents=[one_rule], help="run one mechanism on one profile")
     alloc.add_argument("--profile", required=True, help="comma-separated valuations")
-    alloc.add_argument("--t-c", type=float, default=None, help="deadline for csd")
     alloc.add_argument("--grouping", default=None, help="explicit L/R labels for gcsod")
     alloc.add_argument("--seed", type=int, default=None, help="coin-flip seed for gcsod")
-    alloc.add_argument("--output", default=None)
+    alloc.set_defaults(run=_cmd_allocate)
 
-    aud = sub.add_parser("audit", help="check a mechanism property on given profiles")
+    aud = sub.add_parser(
+        "audit", parents=[one_rule], help="check a mechanism property on given profiles"
+    )
     aud.add_argument("--property", required=True, choices=["sp", "ir", "bb", "mono"])
-    aud.add_argument("--mechanism", required=True, choices=MECHANISMS)
     aud.add_argument("--profile", action="append", required=True, help="repeatable")
-    aud.add_argument("--t-c", type=float, default=None)
     aud.add_argument("--points", type=int, default=50, help="misreport/sweep grid size")
     aud.add_argument("--epsilon", type=float, default=audit_mod.DEFAULT_EPSILON)
-    aud.add_argument("--output", default=None)
+    aud.set_defaults(run=_cmd_audit)
 
     alp = sub.add_parser("alpha", help="split-stretch factors and bound verdict")
     alp.add_argument("--kmax", type=int, required=True)
-    alp.add_argument("--output", default=None)
+    alp.set_defaults(run=_cmd_alpha)
 
     low = sub.add_parser("lowerbound", help="LP lower bound for one prior")
     low.add_argument("--dist", required=True, help='e.g. "U(0,1)" or "N(0.5,0.2)"')
     low.add_argument("--n", type=int, required=True)
     low.add_argument("--H", type=int, default=100)
     low.add_argument("--objective", required=True, choices=["max", "sum"])
-    low.add_argument("--output", default=None)
+    low.set_defaults(run=_cmd_lowerbound)
 
-    sim = sub.add_parser("simulate", help="expected delays of one mechanism")
-    sim.add_argument("--mechanism", required=True, choices=MECHANISMS)
+    sim = sub.add_parser("simulate", parents=[one_rule], help="expected delays of one mechanism")
     sim.add_argument("--dist", required=True)
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--samples", type=int, default=1_000_000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--mode", choices=MODES, default="monte_carlo")
-    sim.add_argument("--t-c", type=float, default=None)
-    sim.add_argument("--output", default=None)
+    sim.set_defaults(run=_cmd_simulate)
 
     tab = sub.add_parser("table", help="full benchmark grid (simulations + LP bounds)")
     tab.add_argument("--samples", type=int, default=1_000_000)
     tab.add_argument("--H", type=int, default=100)
     tab.add_argument("--seed", type=int, default=0)
     tab.add_argument("--format", choices=["csv", "json"], default="csv")
-    tab.add_argument("--output", default=None)
+    tab.set_defaults(run=_cmd_table)
 
+    for command in sub.choices.values():  # last, so it keeps its place in every --help
+        command.add_argument("--output", default=None)
     return parser
 
 
-def _cmd_allocate(args) -> int:
+def _cmd_allocate(args) -> tuple[object, int]:
     rule = _mechanism_rule(args.mechanism, args.t_c)  # refuses --t-c for gcsod too
     for flag, value in (("--grouping", args.grouping), ("--seed", args.seed)):
         if value is not None and args.mechanism != "gcsod":
@@ -167,11 +172,10 @@ def _cmd_allocate(args) -> int:
     payload.update(
         {"times": list(outcome.times), "payments": list(outcome.payments), "sold": outcome.sold}
     )
-    _emit(payload, args.output)
-    return 0
+    return payload, 0
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> tuple[object, int]:
     profiles = [_parse_profile(text) for text in args.profile]
     n = max(len(p) for p in profiles)
     rule = _mechanism_rule(args.mechanism, args.t_c)
@@ -185,13 +189,12 @@ def _cmd_audit(args) -> int:
         realizations = gcsod_realizations if args.mechanism == "gcsod" else rule
         report = audit_mod.check_bb(realizations, profiles)
     else:
-        grid = tuple(np.linspace(0.0, 1.0, _count(args.points, "points")))
+        grid = tuple(np.linspace(0.0, 1.0, _count(args.points, "points", 2)))
         report = audit_mod.check_monotonicity(rule, profiles, grid)
-    _emit(report.to_dict(), args.output)
-    return 0 if report.passed else 2
+    return report.to_dict(), 0 if report.passed else 2
 
 
-def _cmd_alpha(args) -> int:
+def _cmd_alpha(args) -> tuple[object, int]:
     values = {k: audit_mod.alpha(k) for k in range(1, _count(args.kmax, "--kmax") + 1)}
     holds = all(v < audit_mod.MAX_DELAY_BOUND for v in values.values())
     payload = {
@@ -199,11 +202,10 @@ def _cmd_alpha(args) -> int:
         "bound": audit_mod.MAX_DELAY_BOUND,
         "bound_holds": holds,
     }
-    _emit(payload, args.output)
-    return 0
+    return payload, 0
 
 
-def _cmd_lowerbound(args) -> int:
+def _cmd_lowerbound(args) -> tuple[object, int]:
     spec = DistributionSpec.parse(args.dist)
     payload = {
         "distribution": spec.label(),
@@ -217,11 +219,10 @@ def _cmd_lowerbound(args) -> int:
         payload.update(bound=value, truncation_point=point, lp_solves=solves)
     else:
         payload["bound"] = sum_delay_lower_bound(spec, args.n, args.H)
-    _emit(payload, args.output)
-    return 0
+    return payload, 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[object, int]:
     spec = DistributionSpec.parse(args.dist)
     config = SimulationConfig(
         mechanism=args.mechanism,
@@ -235,34 +236,24 @@ def _cmd_simulate(args) -> int:
     report = estimate(config)
     payload = {"distribution": spec.label(), "n": args.n, "mechanism": args.mechanism}
     payload.update(asdict(report))
-    _emit(payload, args.output)
-    return 0
+    return payload, 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[object, int]:
     records = reproduce_table(H=args.H, samples=args.samples, seed=args.seed)
     payload = table_to_csv(records) if args.format == "csv" else [asdict(r) for r in records]
-    _emit(payload, args.output)
-    return 0
-
-
-_COMMANDS = {
-    "allocate": _cmd_allocate,
-    "audit": _cmd_audit,
-    "alpha": _cmd_alpha,
-    "lowerbound": _cmd_lowerbound,
-    "simulate": _cmd_simulate,
-    "table": _cmd_table,
-}
+    return payload, 0
 
 
 def run(argv: list[str]) -> int:
-    """Parse and execute; returns the process exit code."""
+    """Parse, execute and write the payload; returns the process exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except (_UsageError, ValueError, OverflowError, SolverError) as exc:
+        payload, code = args.run(args)
+        _emit(payload, args.output)
+        return code
+    except (_UsageError, ValueError, OverflowError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

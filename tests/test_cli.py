@@ -156,17 +156,19 @@ def test_audit_mono_rejects_a_one_point_sweep(capsys):
     code, out, err = _run_capture(capsys, [*argv, "--points", "1"])
     assert code == 1
     assert out == ""
-    assert err == "error: monotonicity needs at least two grid points\n"
+    assert err == "error: points must be at least 2\n"
 
 
 def test_audit_mono_rejects_a_negative_sweep_size(capsys):
     # numpy used to refuse it in its own words: "Number of samples, -3, must be non-negative."
+    # an empty sweep gets the same floor
     argv = ["audit", "--property", "mono", "--mechanism", "cs", "--profile", "0.9,0.8"]
-    assert _run_capture(capsys, [*argv, "--points", "-3"]) == (
-        1,
-        "",
-        "error: points must be at least 1\n",
-    )
+    for points in ("-3", "0"):
+        assert _run_capture(capsys, [*argv, "--points", points]) == (
+            1,
+            "",
+            "error: points must be at least 2\n",
+        )
 
 
 def test_audit_sp_rejects_a_grid_without_both_ends(capsys):
@@ -408,6 +410,39 @@ def test_table_json_format(capsys):
     payload = json.loads(out)
     assert len(payload) == 72
     assert {"distribution", "n", "mechanism", "objective", "value", "stderr"} <= set(payload[0])
+
+
+# -------------------------------------------------------------------- --output
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        ("allocate --mechanism csod --profile 0.9,0.8,0.26,0.26", 0),
+        ("audit --property sp --mechanism csod --profile 0.9,0.8,0.26,0.26", 2),
+        ("alpha --kmax 5", 0),
+        ("lowerbound --dist U(0,1) --n 2 --H 10 --objective max", 0),
+        ("simulate --mechanism gcsod --dist U(0,1) --n 2 --samples 2000 --seed 7", 0),
+        ("table --samples 2000 --H 10 --seed 3", 0),
+    ],
+    ids=["allocate", "audit", "alpha", "lowerbound", "simulate", "table"],
+)
+def test_output_file_holds_the_bytes_printed_without_it(capsys, tmp_path, command, code):
+    target = tmp_path / "out"
+    printed = _run_capture(capsys, command.split())
+    written = _run_capture(capsys, [*command.split(), "--output", str(target)])
+    assert printed[0] == written[0] == code
+    assert written[1:] == ("", "") and printed[2] == ""
+    assert target.read_bytes() == printed[1].encode("utf-8")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_output_exits_one(capsys, tmp_path, where):
+    # open() used to raise FileNotFoundError or IsADirectoryError out of run
+    target = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code, out, err = _run_capture(capsys, ["alpha", "--kmax", "3", "--output", str(target)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 # ----------------------------------------------------------------- usage errors
