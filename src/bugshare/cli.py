@@ -91,8 +91,16 @@ def _mechanism_rule(name: str, t_c: float | None):
     return {"cs": cs_allocate, "csod": csod_allocate, "gcsod": gcsod_expected}[name]
 
 
+# ``bugshare --help``'s description; the module docstring is for readers of the code
+_DESCRIPTION = (
+    "Cost sharing of one security bug among n agents: run, audit and simulate the four "
+    "allocation rules (cs, csd, csod, gcsod) and compute LP lower bounds on their delays. "
+    "Exit codes: 0 on success, 1 on an error, 2 when an audit finds violations."
+)
+
+
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="bugshare", description=__doc__)
+    parser = _Parser(prog="bugshare", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     one_rule = argparse.ArgumentParser(add_help=False)  # shared by allocate, audit, simulate
     one_rule.add_argument("--mechanism", required=True, choices=MECHANISMS)

@@ -301,20 +301,22 @@ def _prices(
     """Prices 1/(k*deadline) less their qualify slack, k and deadline broadcast.
 
     ``ks`` is the column of k = 1..n or an array of per-cell ranks.  Every
-    step after the product works in place, on one prices array and one slack
-    array; ``out`` is a ``(prices, slack)`` pair of the broadcast shape to
-    write them into, and without it both are new.  A zero deadline divides
-    by zero, and a subnormal one's k = 1 price overflows: either price is
-    infinite, and its slack turns it into NaN, which no value meets.  The
-    outcome is right either way; callers that allow such deadlines silence
-    the warnings.
+    step after the product works in place.  ``out`` is a ``(prices, row)``
+    pair: ``prices`` of the broadcast shape takes the prices, and ``row``, of
+    one rank's shape, takes each rank's slack in turn, so no slack array of
+    the prices' size exists.  Without ``out`` both are new and the block is
+    priced at once, to the same bits.  A zero deadline divides by zero, and
+    a subnormal one's k = 1 price overflows: either price is infinite, and
+    its slack turns it into NaN, which no value meets.  The outcome is right
+    either way; callers that allow such deadlines silence the warnings.
     """
-    prices_out, slack_out = (None, None) if out is None else out
+    prices_out, row = (None, None) if out is None else out
     prices = np.multiply(ks, deadlines, out=prices_out)
     np.divide(1.0, prices, out=prices)
-    slack = np.maximum(prices, 1.0, out=slack_out)
-    slack *= QUALIFY_TOL
-    prices -= slack
+    for part in (prices,) if row is None else prices:
+        slack = np.maximum(part, 1.0, out=row)
+        slack *= QUALIFY_TOL
+        part -= slack
     return prices
 
 

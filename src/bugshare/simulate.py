@@ -3,10 +3,15 @@
 Profiles are sampled from a seeded stream in chunks of ``_CHUNK_VALUES``
 values, at most ``_CHUNK_ROWS`` rows: 16,384 rows up to n = 5, 8,192 at
 n = 10.  A chunk's (n, rows) float arrays are then 640 KiB each at n = 10,
-and the group rule holds four: its estimate peaks about 3.4 MiB above the
-post-import RSS (cs: 1.7 MiB), against 8.2 MiB with five arrays of 16,384
-rows.  The value and coin streams are read in the same order whatever the
-chunk size, so the draws do not depend on it.  ``draw`` maps the chunk's
+and the group rule holds three, the draws, the signed block and the
+products; each rank's price slack goes through the sorting network's one
+scratch row.  A 10^6-sample N(0.5,0.2) estimate peaks 1.6, 2.0, 3.0 and
+2.2 MiB above the RSS after a warm-up call at n = 1, 2, 5 and 10, against
+1.4, 2.2, 3.5 and 3.3 MiB with a fourth array for the slack (at n = 1 that
+array was one row, and malloc's placement of the kernel's temporaries makes
+the difference), and 8.2 MiB at n = 10 with five arrays of 16,384 rows.
+The value and coin streams are read in the same order whatever the chunk
+size, so the draws do not depend on it.  ``draw`` maps the chunk's
 uniforms to values in place, with no temporary per arithmetic step.
 
 cs and csd read a value only through ``v >= price_k``, so their estimates
@@ -234,9 +239,10 @@ def _priced_kstar(sorted_desc: np.ndarray, deadlines: np.ndarray, work: _Workspa
     """Row-wise ``_max_k`` of agent-major sorted values at their deadlines."""
     ks = np.arange(1, sorted_desc.shape[0] + 1)[:, None]
     # the prices share "products" with ``batch_csod_delays``' deadlines, whose
-    # products are reduced before anything is priced
+    # products are reduced before anything is priced; the sorting network's
+    # "low" row is free once the block is sorted, and takes each rank's slack
     shape = np.broadcast(ks, deadlines).shape
-    prices = _prices(ks, deadlines, (work.get("products", shape), work.get("slack", shape)))
+    prices = _prices(ks, deadlines, (work.get("products", shape), work.get("low", shape[1:])))
     return _kstar_rows(sorted_desc, prices, work)
 
 
@@ -391,7 +397,8 @@ def batch_gcsod_delays(
     dr = _deadlines(ks, s, work.get("products", shape))
     own = np.minimum(dl, dr)
     extended = np.maximum(dl, dr)
-    prices = _prices(ks, extended, (work.get("products", shape), work.get("slack", shape)))
+    # the sorting network's "low" row is free now, and takes each rank's slack
+    prices = _prices(ks, extended, (work.get("products", shape), work.get("low", shape[1:])))
     other = np.greater_equal(s, prices, out=work.get("other", shape, bool))
     np.negative(s, out=s)
     meets = np.greater_equal(l_sorted, prices, out=work.get("meets", shape, bool))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 
 import numpy as np
 
@@ -138,6 +139,59 @@ def gcsod_expectation_oracle(profile: TypeProfile):
         tot_sum += sum(out.times)
         count += 1
     return times / count, payments / count, tot_max / count, tot_sum / count
+
+
+def step_curve_payment(mechanism, agent, profile, coarse=33, budget=20_000, rounding=0.0):
+    """Payment that the payment identity gives for ``agent``'s allocation-time curve.
+
+    The identity charges p = v*(1 - t(v)) - integral over [0, v] of (1 - t(z)) dz,
+    the integral of t(z) - t(v) over [0, v], for the agent's value v and
+    time curve t.  The rule is a black box probed at ``coarse`` evenly spaced
+    reports from 0 to v.  The curve must be a non-increasing step function:
+    then an interval whose end times are equal holds no jump, and one whose end
+    times differ holds every jump between them.  Each such interval is bisected
+    down to adjacent doubles a < b, and the jump is put at b, where the rule
+    first gives the later time.  The constant pieces between the jumps are then
+    integrated exactly, so the result is exact up to rounding and to where in
+    (a, b] the jump lies, less than one ulp of b times its height.
+
+    ``ValueError`` when a probe finds the time rising by more than
+    ``rounding``, or after ``budget`` probes: a curve that is not a step
+    function would be bisected forever.  ``rounding`` is for curves that are
+    averages, whose summation order may change with the report.
+    """
+    value = profile.values[agent]
+    probes = 0
+
+    def time(z):
+        nonlocal probes
+        probes += 1
+        if probes > budget:
+            raise ValueError(f"{budget} probes did not locate every jump: no step curve?")
+        return mechanism(profile.replace(agent, z)).times[agent]
+
+    grid = [value * j / (coarse - 1) for j in range(coarse)]
+    times = [time(z) for z in grid]
+    pieces = [(0.0, times[0])]  # (start, time from there on)
+    stack = [
+        (a, ta, b, tb) for a, ta, b, tb in zip(grid, times, grid[1:], times[1:]) if ta != tb
+    ]
+    while stack:
+        a, ta, b, tb = stack.pop()
+        if ta < tb - rounding:
+            raise ValueError(f"the allocation time rises from {ta} at {a} to {tb} at {b}")
+        if math.nextafter(a, b) == b:
+            pieces.append((b, tb))
+            continue
+        m = a + (b - a) / 2
+        tm = time(m)
+        if tm != ta:
+            stack.append((a, ta, m, tm))
+        if tm != tb:
+            stack.append((m, tm, b, tb))
+    pieces.sort()
+    ends = [start for start, _ in pieces[1:]] + [value]
+    return math.fsum((t - times[-1]) * (end - start) for (start, t), end in zip(pieces, ends))
 
 
 def random_profiles(rng, count, n_low=2, n_high=8, lo=0.0, hi=1.0):

@@ -23,6 +23,7 @@ from bugshare.audit import (
 )
 from bugshare.cli import _emit
 from bugshare.mechanisms import (
+    QUALIFY_TOL,
     Grouping,
     Outcome,
     TypeProfile,
@@ -34,7 +35,15 @@ from bugshare.mechanisms import (
     gcsod_realizations,
 )
 
-from helpers import EXAMPLE_PROFILE, brute_force_sharing_set, enumerate_gcsod, random_profiles
+from helpers import (
+    EXAMPLE_PROFILE,
+    brute_force_sharing_set,
+    enumerate_gcsod,
+    random_profiles,
+    step_curve_payment,
+)
+
+EPS = np.finfo(float).eps
 
 
 # ------------------------------------------------------------- delay metrics
@@ -350,19 +359,60 @@ def test_myerson_csd_example_payment():
 )
 def test_myerson_matches_charged_payment(label, rule, deadline):
     # payment-identity oracle against the implemented payments, one random
-    # agent per profile.  The agent's allocation time is a step of height
-    # ``deadline`` at its threshold, and the midpoint rule places that step
-    # within half a cell of width value/grid, so the oracle errs by at most
-    # deadline * value / (2 * grid), plus rounding
-    grid_size = 10_000
+    # agent per profile.  The agent's time is ``deadline`` below its threshold
+    # and 0 from it on, so the identity gives deadline * threshold.  The rule
+    # lets the agent pay from price - QUALIFY_TOL * max(1, price) on, where
+    # price = 1/(k* * deadline), and charges 1/k* = deadline * price: the
+    # oracle, exact on a step curve, lies deadline * QUALIFY_TOL * max(1, price)
+    # below the charge.  On top come the rounding of the price's product and
+    # reciprocal, of the slack, of the threshold's double and of the oracle's
+    # sum, each within an ulp of a payment <= 1: four ulps of 1 hold them.  An
+    # agent who does not pay has a flat curve and an oracle of exactly 0.
     rng = np.random.default_rng(61)
     for _ in range(1000):
         profile = TypeProfile(tuple(rng.random(2)))
         agent = int(rng.integers(2))
-        oracle = myerson_payment(rule, agent, profile, grid_size)
+        oracle = step_curve_payment(rule, agent, profile)
         charged = rule(profile).payments[agent]
-        bound = deadline * profile.values[agent] / (2 * grid_size) + 1e-12
+        bound = deadline * QUALIFY_TOL * max(1.0, charged / deadline) + 4 * EPS
         assert abs(oracle - charged) <= bound
+
+
+def test_group_rule_expected_payments_match_the_payment_identity():
+    # The group rule's expected curve of an agent averages one step per
+    # grouping: the other side's deadline d below the threshold, 0 from it on.
+    # Each grouping is off by d * QUALIFY_TOL * max(1, price) as in the test
+    # above, and d * price = 1/k* <= 1 with d <= 1, so by QUALIFY_TOL at most;
+    # so is their average.  ``gcsod_expected`` sums 2^n groupings in an order
+    # that follows the agent's rank, so its curve and its payments carry up to
+    # 2^n ulps of rounding, and the curve may rise by as much.
+    rng = np.random.default_rng(8)
+    for profile in random_profiles(rng, 20, n_low=2, n_high=8):
+        rounding = 2 ** len(profile) * EPS
+        payments = gcsod_expected(profile).payments
+        for agent in range(len(profile)):
+            oracle = step_curve_payment(gcsod_expected, agent, profile, rounding=rounding)
+            assert abs(oracle - payments[agent]) <= QUALIFY_TOL + 2 * rounding
+
+
+def test_step_curve_oracle_refuses_a_curve_that_is_no_falling_step():
+    profile = TypeProfile((0.9, 0.8))
+
+    def ramp(p):  # continuous: no finite set of jumps
+        t = 1.0 - p.values[0] / 2
+        return Outcome((t, 1.0), (0.0, 0.0))
+
+    def rising(p):  # a step up at 0.5
+        t = 1.0 if p.values[0] >= 0.5 else 0.0
+        return Outcome((t, 1.0), (0.0, 0.0))
+
+    with pytest.raises(ValueError, match="probes did not locate every jump"):
+        step_curve_payment(ramp, 0, profile)
+    with pytest.raises(ValueError, match="allocation time rises"):
+        step_curve_payment(rising, 0, profile)
+    # cs steps down from time 1 to 0 at 0.5 - QUALIFY_TOL, which the identity
+    # gives exactly
+    assert step_curve_payment(cs_allocate, 0, profile) == 0.5 - QUALIFY_TOL
 
 
 # ------------------------------------------------------------------- alpha

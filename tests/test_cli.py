@@ -445,6 +445,15 @@ def test_unwritable_output_exits_one(capsys, tmp_path, where):
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_help_describes_the_tool_without_markup(capsys):
+    # --help used to print the module docstring, reST double backticks included
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "``" not in out and "Exit codes" in out
+
+
 # ----------------------------------------------------------------- usage errors
 
 

@@ -257,6 +257,29 @@ def test_array_deadline_and_largest_k_match_the_scalar_forms(n):
             assert side_k[g] == mechanisms._max_k(members, float(sides[g]))
 
 
+# The kernels price through a one-row scratch, one rank's row at a time, and
+# ``_sorted_table`` and the preimages through fresh arrays, the whole block at
+# once.  Each element sees the same operations either way, so the bits agree:
+# at n = 1, at deadline 0 and at subnormal deadlines (whose infinite prices
+# turn into NaN) and on prices on both sides of 1, under the union of the
+# kernels' errstates.
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_prices_through_one_row_match_the_fresh_arrays(n):
+    rng = np.random.default_rng(2900 + n)
+    infinite = [0.0, 2.0**-1074, 2.0**-1030, 2.0**-1024]  # k = 1 prices inf, then NaN
+    deadlines = np.concatenate([3 * rng.random(300), [1.0, 1 / n, 2.0**-1020], infinite])
+    ks = np.arange(1, n + 1)[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        fresh = mechanisms._prices(ks, deadlines)
+        prices = np.full(fresh.shape, 0.5)
+        row = np.full(fresh.shape[1:], 0.5)
+        through = mechanisms._prices(ks, deadlines, (prices, row))
+    assert through is prices
+    assert through.tobytes() == fresh.tobytes()
+    assert np.isnan(fresh[0, -len(infinite) :]).all()
+    assert (fresh > 1.0).any() and (fresh < 1.0).any()
+
+
 # ``gcsod_expected`` averages a table built over the agents in sorted order
 # and maps it back, so ties between agents, ties between the two sides'
 # deadlines and the order of the agents all pass through one argsort; the
