@@ -43,6 +43,23 @@ def test_allocate_csd_requires_deadline(capsys):
     assert "t-c" in err
 
 
+def test_allocate_csd_at_a_given_deadline(capsys):
+    # the payload records the deadline; the pair at 0.9 and 0.8 meets price 1/1.4
+    code, out, err = _run_capture(
+        capsys, ["allocate", "--mechanism", "csd", "--t-c", "0.7", "--profile", "0.9,0.8,0.26,0.26"]
+    )
+    assert (code, err) == (0, "")
+    expected = {
+        "mechanism": "csd",
+        "profile": [0.9, 0.8, 0.26, 0.26],
+        "t_c": 0.7,
+        "times": [0.0, 0.0, 0.7, 0.7],
+        "payments": [0.5, 0.5, 0.0, 0.0],
+        "sold": True,
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_allocate_rejects_an_overflowing_profile(capsys):
     # 2 * 1e308 overflows: the rule used to sell nothing and release both at time 0
     code, out, err = _run_capture(

@@ -58,6 +58,12 @@ def test_spec_validation():
             DistributionSpec(kind="truncnorm", mu=mu, sigma=0.1)
 
 
+@pytest.mark.parametrize("mu, sigma", [(None, 0.2), (0.5, None)])
+def test_spec_rejects_a_truncated_normal_without_mu_or_sigma(mu, sigma):
+    with pytest.raises(ValueError, match="^truncated normal needs mu and sigma$"):
+        DistributionSpec(kind="truncnorm", mu=mu, sigma=sigma)
+
+
 @pytest.mark.parametrize("text", ["N(0.5,nan)", "N(0.5,-0.2)", "N(0.5,0)"])
 def test_parse_rejects_a_sigma_that_is_not_positive(text):
     with pytest.raises(ValueError, match="sigma must be positive"):
@@ -261,6 +267,8 @@ def test_a_bool_is_not_a_count(name, call):
 def test_segmented_distribution_validation():
     with pytest.raises(ValueError):
         SegmentedDistribution(H=0, delta=1.0, masses=())
+    with pytest.raises(ValueError, match="^need exactly H masses$"):
+        SegmentedDistribution(H=3, delta=1 / 3, masses=(0.5, 0.5))
     with pytest.raises(ValueError):
         SegmentedDistribution(H=2, delta=0.5, masses=(0.7, 0.7))
     with pytest.raises(ValueError):

@@ -103,6 +103,8 @@ def test_profile_replace_equals_a_fresh_profile():
 
 
 def test_outcome_invariants_enforced():
+    with pytest.raises(ValueError, match="^times and payments must have equal length$"):
+        Outcome((0.0, 0.0), (1.0,))
     with pytest.raises(ValueError):
         Outcome((0.0, 1.2), (0.5, 0.5))
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bugshare import mechanisms
+from bugshare import mechanisms, simulate
 from bugshare.cli import run, table_to_csv
 from bugshare.distributions import DistributionSpec, _to_values, cdf, draw, sample
 from bugshare.mechanisms import (
@@ -728,6 +728,8 @@ def test_config_validation():
         SimulationConfig("csd", UNIFORM, n=2, samples=10, seed=0)  # missing t_c
     with pytest.raises(ValueError):
         SimulationConfig("cs", UNIFORM, n=2, samples=10, seed=0, mode="exact_grouping")
+    with pytest.raises(ValueError, match="^unknown mode 'exact'$"):
+        SimulationConfig("gcsod", UNIFORM, n=2, samples=10, seed=0, mode="exact")
     with pytest.raises(ValueError):
         SimulationConfig("gcsod", UNIFORM, n=20, samples=10, seed=0, mode="exact_grouping")
     # the library's one cap check, with its one message
@@ -804,6 +806,31 @@ def test_config_rejects_a_deadline_outside_the_unit_interval(t_c):
 def test_config_rejects_deadline_for_rules_without_one(mechanism):
     with pytest.raises(ValueError, match="t_c"):
         SimulationConfig(mechanism, UNIFORM, n=2, samples=10, seed=0, t_c=0.5)
+
+
+def test_estimate_calls_the_module_kernels(monkeypatch):
+    # The benchmark's tracer counts rows by wrapping these kernels where they
+    # are ``bugshare.simulate`` attributes; an estimate that called a copy
+    # captured earlier would silently zero those metrics.
+    calls = []
+    for name in ("batch_cs_delays", "batch_gcsod_delays", "_exact_grouping_delays"):
+
+        def counting(values, *args, _name=name, _real=getattr(simulate, name), **kwargs):
+            calls.append((_name, values.shape[0]))
+            return _real(values, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, name, counting)
+    for mechanism, mode, n, kernel in (
+        ("cs", "monte_carlo", 5, "batch_cs_delays"),
+        ("gcsod", "monte_carlo", 10, "batch_gcsod_delays"),
+        ("gcsod", "exact_grouping", 3, "_exact_grouping_delays"),
+    ):
+        calls.clear()
+        samples = 40_000
+        estimate(SimulationConfig(mechanism, UNIFORM, n=n, samples=samples, seed=0, mode=mode))
+        rows = min(simulate._CHUNK_ROWS, simulate._CHUNK_VALUES // n)
+        assert [name for name, _ in calls] == [kernel] * math.ceil(samples / rows), mechanism
+        assert sum(size for _, size in calls) == samples
 
 
 def test_csd_estimation_uses_deadline():
