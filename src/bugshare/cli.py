@@ -4,6 +4,7 @@ Subcommands: ``allocate`` (run one mechanism on one profile), ``audit``
 (property checks with violation listings), ``alpha`` (the split-stretch
 table and its bound verdict), ``lowerbound`` (one LP bound), ``simulate``
 (expected delays under a prior) and ``table`` (the full benchmark grid).
+A rule's name is read in ``simulate._RULES``, the one place where a rule is registered.
 Each command returns its payload and exit code; ``run`` writes the payload,
 to stdout or ``--output``, and turns usage, domain, solver and file errors
 into one ``error:`` line with exit 1.
@@ -28,19 +29,8 @@ import numpy as np
 from . import audit as audit_mod
 from .distributions import DistributionSpec, _count
 from .lowerbound import SolverError, _max_delay_search, sum_delay_lower_bound
-from .mechanisms import (
-    Grouping,
-    TypeProfile,
-    cs_allocate,
-    csd_allocate,
-    csod_allocate,
-    gcsod_allocate,
-    gcsod_expected,
-    gcsod_realizations,
-    gcsod_sample,
-    optimal_deadline,
-)
-from .simulate import MECHANISMS, MODES, SimulationConfig, TableRow, estimate, reproduce_table
+from .mechanisms import Grouping, TypeProfile, gcsod_allocate, gcsod_sample
+from .simulate import _RULES, MODES, SimulationConfig, TableRow, estimate, reproduce_table
 
 
 class _UsageError(Exception):
@@ -82,13 +72,13 @@ def table_to_csv(records: list[TableRow]) -> str:
 
 
 def _mechanism_rule(name: str, t_c: float | None):
-    if t_c is not None and name != "csd":
+    """``name``'s entry in the rule table, and its rule on one profile at ``t_c``."""
+    entry = _RULES[name]
+    if t_c is not None and not entry.takes_t_c:
         raise _UsageError(f"--t-c only applies to --mechanism csd, not {name}")
-    if name == "csd":
-        if t_c is None:
-            raise _UsageError("--mechanism csd requires --t-c")
-        return lambda p: csd_allocate(p, t_c)
-    return {"cs": cs_allocate, "csod": csod_allocate, "gcsod": gcsod_expected}[name]
+    if entry.takes_t_c and t_c is None:
+        raise _UsageError("--mechanism csd requires --t-c")
+    return entry, entry.rule(t_c)
 
 
 # ``bugshare --help``'s description; the module docstring is for readers of the code
@@ -103,7 +93,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bugshare", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     one_rule = argparse.ArgumentParser(add_help=False)  # shared by allocate, audit, simulate
-    one_rule.add_argument("--mechanism", required=True, choices=MECHANISMS)
+    one_rule.add_argument("--mechanism", required=True, choices=_RULES)
     one_rule.add_argument("--t-c", type=float, default=None, help="deadline for csd")
 
     alloc = sub.add_parser("allocate", parents=[one_rule], help="run one mechanism on one profile")
@@ -153,15 +143,15 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_allocate(args) -> tuple[object, int]:
-    rule = _mechanism_rule(args.mechanism, args.t_c)  # refuses --t-c for gcsod too
+    entry, rule = _mechanism_rule(args.mechanism, args.t_c)  # refuses --t-c for gcsod too
     for flag, value in (("--grouping", args.grouping), ("--seed", args.seed)):
-        if value is not None and args.mechanism != "gcsod":
+        if value is not None and entry.realizations is None:
             raise _UsageError(f"{flag} only applies to --mechanism gcsod")
     if args.grouping is not None and args.seed is not None:
         raise _UsageError("--seed does not apply with --grouping, which fixes the coin flips")
     profile = _parse_profile(args.profile)
     payload: dict = {"mechanism": args.mechanism, "profile": list(profile.values)}
-    if args.mechanism == "gcsod":
+    if entry.realizations is not None:  # the group rule: one grouping, given or drawn
         if args.grouping is not None:
             grouping = Grouping.from_string(args.grouping)
             outcome = gcsod_allocate(profile, grouping)
@@ -172,10 +162,10 @@ def _cmd_allocate(args) -> tuple[object, int]:
             payload["seed"] = seed
     else:
         outcome = rule(profile)
-        if args.mechanism == "csd":
+        if entry.takes_t_c:
             payload["t_c"] = args.t_c
-        elif args.mechanism == "csod":
-            deadline = optimal_deadline(profile)
+        elif entry.optimal_deadline is not None:
+            deadline = entry.optimal_deadline(profile)
             payload.update(deadline=deadline.t_star, k_star=deadline.k_star)
     payload.update(
         {"times": list(outcome.times), "payments": list(outcome.payments), "sold": outcome.sold}
@@ -186,7 +176,7 @@ def _cmd_allocate(args) -> tuple[object, int]:
 def _cmd_audit(args) -> tuple[object, int]:
     profiles = [_parse_profile(text) for text in args.profile]
     n = max(len(p) for p in profiles)
-    rule = _mechanism_rule(args.mechanism, args.t_c)
+    entry, rule = _mechanism_rule(args.mechanism, args.t_c)
     deadline = 1.0 if args.t_c is None else args.t_c
     if args.property == "sp":
         grid = audit_mod.misreport_grid(n, deadline=deadline, points=args.points)
@@ -194,8 +184,7 @@ def _cmd_audit(args) -> tuple[object, int]:
     elif args.property == "ir":
         report = audit_mod.check_ir(rule, profiles)
     elif args.property == "bb":
-        realizations = gcsod_realizations if args.mechanism == "gcsod" else rule
-        report = audit_mod.check_bb(realizations, profiles)
+        report = audit_mod.check_bb(entry.realizations or rule, profiles)
     else:
         grid = tuple(np.linspace(0.0, 1.0, _count(args.points, "points", 2)))
         report = audit_mod.check_monotonicity(rule, profiles, grid)

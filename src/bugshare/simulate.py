@@ -44,6 +44,11 @@ allocated once, not faulted in again per chunk (about 1.5 GB of pages per
 benchmark pass).  The coin uniforms go into "draws" and are flipped before
 the values are drawn over them.
 
+``_RULES`` is the one place where a rule is registered: ``SimulationConfig``,
+``estimate`` and the CLI read a rule's name only in it.  An entry's Monte
+Carlo step calls the kernels by their module names, where the benchmark's
+tracer wraps them.
+
 ``reproduce_table`` assembles the benchmark grid: expected max/sum delay of
 the plain and group cost-sharing rules plus the two LP lower bounds, for
 U(0,1), N(0.5,0.2) and N(0.5,0.4) at n in {1, 2, 5, 10}.
@@ -54,17 +59,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .distributions import DistributionSpec, _count, _to_values, draw, preimage
 from .lowerbound import max_delay_lower_bound, sum_delay_lower_bound
 from .mechanisms import (
-    _check_deadline, _deadlines, _largest_k, _prices, _sorted_groupings, _sorted_table
+    _check_deadline, _deadlines, _largest_k, _prices, _sorted_groupings, _sorted_table,
+    cs_allocate, csd_allocate, csod_allocate, gcsod_expected, gcsod_realizations, optimal_deadline,
 )
 
-MECHANISMS = ("cs", "csd", "csod", "gcsod")
 MODES = ("monte_carlo", "exact_grouping")
 
 TABLE_DISTRIBUTIONS = ("U(0,1)", "N(0.5,0.2)", "N(0.5,0.4)")
@@ -96,14 +101,14 @@ class SimulationConfig:
         object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         if not np.isfinite(max(self.n, 2) * self.spec.hi):  # as ``TypeProfile`` asks of values
             raise ValueError(f"max(n, 2) * hi must be finite, got n={self.n}, hi={self.spec.hi}")
-        if self.mechanism == "csd":
+        if _RULES[self.mechanism].takes_t_c:
             if self.t_c is None:
                 raise ValueError("csd needs a deadline t_c in [0, 1]")
             _check_deadline(self.t_c)
         elif self.t_c is not None:
             raise ValueError(f"t_c only applies to csd, not {self.mechanism}")
         if self.mode == "exact_grouping":
-            if self.mechanism != "gcsod":
+            if _RULES[self.mechanism].realizations is None:
                 raise ValueError("exact_grouping mode only applies to gcsod")
             # the one cap check; it caches the arrays that ``estimate`` reads next
             _sorted_groupings(self.n)
@@ -439,6 +444,54 @@ def _exact_grouping_delays(values: np.ndarray, work: _Workspace | None = None):
     return delays[0], delays[1]
 
 
+def _cs_chunks(config: SimulationConfig, work: _Workspace, rng_values, rng_coins):
+    """cs's step: each chunk's sorted uniforms against the preimages of the prices at 1."""
+    pre = _price_preimages(config.spec, config.n, 1.0)
+    return lambda draws: batch_cs_delays(rng_values.random(out=draws), work, preimages=pre)
+
+
+def _csd_chunks(config: SimulationConfig, work: _Workspace, rng_values, rng_coins):
+    """csd's step, cs's at the deadline ``config.t_c``."""
+    t_c, pre = config.t_c, _price_preimages(config.spec, config.n, config.t_c)
+    return lambda draws: batch_csd_delays(rng_values.random(out=draws), t_c, work, preimages=pre)
+
+
+def _csod_chunks(config: SimulationConfig, work: _Workspace, rng_values, rng_coins):
+    return lambda draws: batch_csod_delays(draw(config.spec, draws.shape, rng_values, draws), work)
+
+
+def _gcsod_chunks(config: SimulationConfig, work: _Workspace, rng_values, rng_coins):
+    """The group rule's step: over all groupings, or one coin flip per agent, drawn first."""
+
+    def chunk(draws: np.ndarray):
+        if config.mode == "exact_grouping":
+            return _exact_grouping_delays(draw(config.spec, draws.shape, rng_values, draws), work)
+        # the coin uniforms are dead once flipped, so the values overwrite them
+        left = np.less(rng_coins.random(out=draws), 0.5, out=work.get("flips", draws.shape, bool))
+        return batch_gcsod_delays(draw(config.spec, draws.shape, rng_values, draws), left, work)
+
+    return chunk
+
+
+class _Rule(NamedTuple):
+    """A rule as its callers read it off its name in ``_RULES`` (module docstring)."""
+
+    rule: Callable  # t_c -> the rule on one profile: csd's at t_c, the group rule's mean
+    takes_t_c: bool  # a deadline t_c to take: cs's is 1, the others pick their own
+    chunks: Callable  # (config, work, rng_values, rng_coins) -> the Monte Carlo step
+    realizations: Callable | None = None  # per grouping, for the rule that flips coins
+    optimal_deadline: Callable | None = None  # the deadline csod picks, which allocate reports
+
+
+_RULES = {
+    "cs": _Rule(lambda t_c: cs_allocate, False, _cs_chunks),
+    "csd": _Rule(lambda t_c: lambda p: csd_allocate(p, t_c), True, _csd_chunks),
+    "csod": _Rule(lambda t_c: csod_allocate, False, _csod_chunks, None, optimal_deadline),
+    "gcsod": _Rule(lambda t_c: gcsod_expected, False, _gcsod_chunks, gcsod_realizations),
+}
+MECHANISMS = tuple(_RULES)
+
+
 def estimate(config: SimulationConfig) -> SimulationReport:
     """Expected delays of a mechanism under a prior, with standard errors.
 
@@ -449,36 +502,14 @@ def estimate(config: SimulationConfig) -> SimulationReport:
     rng_values, rng_coins = map(np.random.default_rng, seeds)
 
     work = _Workspace()
-    preimages = None
-    if config.mechanism in ("cs", "csd"):
-        t_c = 1.0 if config.mechanism == "cs" else config.t_c
-        preimages = _price_preimages(config.spec, config.n, t_c)
+    chunk = _RULES[config.mechanism].chunks(config, work, rng_values, rng_coins)
     total = np.zeros(2)
     total_sq = np.zeros(2)
     rows = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // config.n))
-    remaining = config.samples
-    while remaining > 0:
-        shape = (min(remaining, rows), config.n)
-        block = work.get("draws", shape)
-        if preimages is not None:
-            uniforms = rng_values.random(shape, out=block)
-            if config.mechanism == "cs":
-                mx, sm = batch_cs_delays(uniforms, work, preimages=preimages)
-            else:
-                mx, sm = batch_csd_delays(uniforms, config.t_c, work, preimages=preimages)
-        elif config.mechanism == "csod":
-            mx, sm = batch_csod_delays(draw(config.spec, shape, rng_values, out=block), work)
-        elif config.mode == "exact_grouping":
-            mx, sm = _exact_grouping_delays(draw(config.spec, shape, rng_values, out=block), work)
-        else:
-            # the coin uniforms are dead once flipped, so the values overwrite them
-            coins = rng_coins.random(shape, out=block)
-            left = np.less(coins, 0.5, out=work.get("flips", shape, bool))
-            values = draw(config.spec, shape, rng_values, out=block)
-            mx, sm = batch_gcsod_delays(values, left, work)
+    for start in range(0, config.samples, rows):
+        mx, sm = chunk(work.get("draws", (min(rows, config.samples - start), config.n)))
         total += (mx.sum(), sm.sum())
         total_sq += ((mx * mx).sum(), (sm * sm).sum())
-        remaining -= shape[0]
 
     count = config.samples
     mean = total / count
