@@ -4,7 +4,7 @@ Subcommands: ``allocate`` (run one mechanism on one profile), ``audit``
 (property checks with violation listings), ``alpha`` (the split-stretch
 table and its bound verdict), ``lowerbound`` (one LP bound), ``simulate``
 (expected delays under a prior) and ``table`` (the full benchmark grid).
-A rule's name is read in ``simulate._RULES``, the one place where a rule is registered.
+Rule names are read in ``simulate._RULES``, where each rule is registered once.
 Each command returns its payload and exit code; ``run`` writes the payload,
 to stdout or ``--output``, and turns usage, domain, solver and file errors
 into one ``error:`` line with exit 1.

@@ -457,6 +457,7 @@ def _csd_chunks(config: SimulationConfig, work: _Workspace, rng_values, rng_coin
 
 
 def _csod_chunks(config: SimulationConfig, work: _Workspace, rng_values, rng_coins):
+    """csod's step: each chunk's values, every row priced at its own optimal deadline."""
     return lambda draws: batch_csod_delays(draw(config.spec, draws.shape, rng_values, draws), work)
 
 
