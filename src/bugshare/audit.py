@@ -17,6 +17,7 @@ rule against the optimal-deadline rule profile by profile.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
@@ -32,6 +33,7 @@ from .mechanisms import (
     TypeProfile,
     _check_agent,
     _check_deadline,
+    _valuation,
     csod_allocate,
     gcsod_expected,
 )
@@ -120,8 +122,9 @@ def misreport_grid(n: int, deadline: float = 1.0, points: int = 50):
     n = _count(n, "n")
     # at least both ends of [0, 1], the floor of a monotonicity sweep
     grid = set(np.linspace(0.0, 1.0, _count(points, "points", 2)).tolist())
-    if deadline > 0.0:
-        grid.update(1.0 / (k * deadline) for k in range(1, n + 1))
+    for k in range(1, n + 1) if deadline > 0.0 else ():
+        with contextlib.suppress(ValueError):  # a threshold that n agents cannot report
+            grid.add(_valuation(1.0 / (k * deadline), n))
     return tuple(sorted(grid))
 
 

@@ -4,7 +4,7 @@ Subcommands: ``allocate`` (run one mechanism on one profile), ``audit``
 (property checks with violation listings), ``alpha`` (the split-stretch
 table and its bound verdict), ``lowerbound`` (one LP bound), ``simulate``
 (expected delays under a prior) and ``table`` (the full benchmark grid).
-Rule names are read in ``simulate._RULES``, where each rule is registered once.
+Rule names are read in ``simulate._RULES``, and ``--t-c`` is checked by its ``_rule_at``.
 Each command returns its payload and exit code; ``run`` writes the payload,
 to stdout or ``--output``, and turns usage, domain, solver and file errors
 into one ``error:`` line with exit 1.
@@ -30,7 +30,7 @@ from . import audit as audit_mod
 from .distributions import DistributionSpec, _count
 from .lowerbound import SolverError, _max_delay_search, sum_delay_lower_bound
 from .mechanisms import Grouping, TypeProfile, gcsod_allocate, gcsod_sample
-from .simulate import _RULES, MODES, SimulationConfig, TableRow, estimate, reproduce_table
+from .simulate import _RULES, MODES, SimulationConfig, TableRow, _rule_at, estimate, reproduce_table
 
 
 class _UsageError(Exception):
@@ -69,16 +69,6 @@ def table_to_csv(records: list[TableRow]) -> str:
         stderr = "" if r.stderr is None else f"{r.stderr:.6f}"
         writer.writerow([r.distribution, r.n, r.mechanism, r.objective, f"{r.value:.6f}", stderr])
     return buf.getvalue()
-
-
-def _mechanism_rule(name: str, t_c: float | None):
-    """``name``'s entry in the rule table, and its rule on one profile at ``t_c``."""
-    entry = _RULES[name]
-    if t_c is not None and not entry.takes_t_c:
-        raise _UsageError(f"--t-c only applies to --mechanism csd, not {name}")
-    if entry.takes_t_c and t_c is None:
-        raise _UsageError("--mechanism csd requires --t-c")
-    return entry, entry.rule(t_c)
 
 
 # ``bugshare --help``'s description; the module docstring is for readers of the code
@@ -143,7 +133,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_allocate(args) -> tuple[object, int]:
-    entry, rule = _mechanism_rule(args.mechanism, args.t_c)  # refuses --t-c for gcsod too
+    entry, rule = _RULES[args.mechanism], _rule_at(args.mechanism, args.t_c)  # even for gcsod
     for flag, value in (("--grouping", args.grouping), ("--seed", args.seed)):
         if value is not None and entry.realizations is None:
             raise _UsageError(f"{flag} only applies to --mechanism gcsod")
@@ -162,7 +152,7 @@ def _cmd_allocate(args) -> tuple[object, int]:
             payload["seed"] = seed
     else:
         outcome = rule(profile)
-        if entry.takes_t_c:
+        if args.t_c is not None:  # csd's, the one rule that takes it
             payload["t_c"] = args.t_c
         elif entry.optimal_deadline is not None:
             deadline = entry.optimal_deadline(profile)
@@ -176,7 +166,7 @@ def _cmd_allocate(args) -> tuple[object, int]:
 def _cmd_audit(args) -> tuple[object, int]:
     profiles = [_parse_profile(text) for text in args.profile]
     n = max(len(p) for p in profiles)
-    entry, rule = _mechanism_rule(args.mechanism, args.t_c)
+    entry, rule = _RULES[args.mechanism], _rule_at(args.mechanism, args.t_c)
     deadline = 1.0 if args.t_c is None else args.t_c
     if args.property == "sp":
         grid = audit_mod.misreport_grid(n, deadline=deadline, points=args.points)

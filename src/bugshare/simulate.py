@@ -6,13 +6,10 @@ n = 10.  A chunk's (n, rows) float arrays are then 640 KiB each at n = 10,
 and the group rule holds three, the draws, the signed block and the
 products; each rank's price slack goes through the sorting network's one
 scratch row.  A 10^6-sample N(0.5,0.2) estimate peaks 1.6, 2.0, 3.0 and
-2.2 MiB above the RSS after a warm-up call at n = 1, 2, 5 and 10, against
-1.4, 2.2, 3.5 and 3.3 MiB with a fourth array for the slack (at n = 1 that
-array was one row, and malloc's placement of the kernel's temporaries makes
-the difference), and 8.2 MiB at n = 10 with five arrays of 16,384 rows.
-The value and coin streams are read in the same order whatever the chunk
-size, so the draws do not depend on it.  ``draw`` maps the chunk's
-uniforms to values in place, with no temporary per arithmetic step.
+2.2 MiB above the RSS after a warm-up call at n = 1, 2, 5 and 10.  The
+value and coin streams are read in the same order whatever the chunk size,
+so the draws do not depend on it.  ``draw`` maps the chunk's uniforms to
+values in place, with no temporary per arithmetic step.
 
 cs and csd read a value only through ``v >= price_k``, so their estimates
 never map the uniforms: each kernel sorts the chunk's uniforms and compares
@@ -45,9 +42,9 @@ benchmark pass).  The coin uniforms go into "draws" and are flipped before
 the values are drawn over them.
 
 ``_RULES`` is the one place where a rule is registered: ``SimulationConfig``,
-``estimate`` and the CLI read a rule's name only in it.  An entry's Monte
-Carlo step calls the kernels by their module names, where the benchmark's
-tracer wraps them.
+``estimate`` and the CLI read a rule's name only in it, and ``_rule_at`` is the
+one check that a deadline t_c goes with csd alone.  An entry's Monte Carlo step
+calls the kernels by their module names, where the benchmark's tracer wraps them.
 
 ``reproduce_table`` assembles the benchmark grid: expected max/sum delay of
 the plain and group cost-sharing rules plus the two LP lower bounds, for
@@ -91,7 +88,7 @@ class SimulationConfig:
     t_c: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mechanism not in MECHANISMS:
+        if self.mechanism not in _RULES:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -101,12 +98,7 @@ class SimulationConfig:
         object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         if not np.isfinite(max(self.n, 2) * self.spec.hi):  # as ``TypeProfile`` asks of values
             raise ValueError(f"max(n, 2) * hi must be finite, got n={self.n}, hi={self.spec.hi}")
-        if _RULES[self.mechanism].takes_t_c:
-            if self.t_c is None:
-                raise ValueError("csd needs a deadline t_c in [0, 1]")
-            _check_deadline(self.t_c)
-        elif self.t_c is not None:
-            raise ValueError(f"t_c only applies to csd, not {self.mechanism}")
+        _rule_at(self.mechanism, self.t_c)
         if self.mode == "exact_grouping":
             if _RULES[self.mechanism].realizations is None:
                 raise ValueError("exact_grouping mode only applies to gcsod")
@@ -477,7 +469,7 @@ def _gcsod_chunks(config: SimulationConfig, work: _Workspace, rng_values, rng_co
 class _Rule(NamedTuple):
     """A rule as its callers read it off its name in ``_RULES`` (module docstring)."""
 
-    rule: Callable  # t_c -> the rule on one profile: csd's at t_c, the group rule's mean
+    rule: Callable  # the rule on one profile (csd's takes t_c too), the group rule's mean
     takes_t_c: bool  # a deadline t_c to take: cs's is 1, the others pick their own
     chunks: Callable  # (config, work, rng_values, rng_coins) -> the Monte Carlo step
     realizations: Callable | None = None  # per grouping, for the rule that flips coins
@@ -485,12 +477,24 @@ class _Rule(NamedTuple):
 
 
 _RULES = {
-    "cs": _Rule(lambda t_c: cs_allocate, False, _cs_chunks),
-    "csd": _Rule(lambda t_c: lambda p: csd_allocate(p, t_c), True, _csd_chunks),
-    "csod": _Rule(lambda t_c: csod_allocate, False, _csod_chunks, None, optimal_deadline),
-    "gcsod": _Rule(lambda t_c: gcsod_expected, False, _gcsod_chunks, gcsod_realizations),
+    "cs": _Rule(cs_allocate, False, _cs_chunks),
+    "csd": _Rule(csd_allocate, True, _csd_chunks),
+    "csod": _Rule(csod_allocate, False, _csod_chunks, None, optimal_deadline),
+    "gcsod": _Rule(gcsod_expected, False, _gcsod_chunks, gcsod_realizations),
 }
-MECHANISMS = tuple(_RULES)
+
+
+def _rule_at(name: str, t_c: float | None) -> Callable:
+    """Rule ``name`` on one profile at ``t_c``: the one check that t_c goes with csd alone."""
+    entry = _RULES[name]
+    if entry.takes_t_c and t_c is None:
+        raise ValueError("csd needs a deadline t_c in [0, 1]")
+    if t_c is None:
+        return entry.rule
+    if not entry.takes_t_c:
+        raise ValueError(f"t_c only applies to csd, not {name}")
+    _check_deadline(t_c)
+    return functools.partial(entry.rule, t_c=t_c)
 
 
 def estimate(config: SimulationConfig) -> SimulationReport:

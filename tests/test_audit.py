@@ -107,6 +107,20 @@ def test_misreport_grid_contains_thresholds():
     for k in (1, 2, 3, 4):
         assert 1.0 / (k * 0.625) in grid
     assert grid == tuple(sorted(grid))
+    # the benchmark's SP grid: 50 uniform points and every 1/k, none dropped
+    grid = misreport_grid(8, 1.0, 50)
+    assert grid == tuple(sorted(set(np.linspace(0.0, 1.0, 50)) | {1.0 / k for k in range(1, 9)}))
+
+
+@pytest.mark.parametrize("deadline, kept", [(5e-324, ()), (1e-308, (5e307,))])
+def test_misreport_grid_keeps_only_reports_that_n_agents_can_make(deadline, kept):
+    # 1/deadline, and at 5e-324 1/(2 * deadline) too, is no valuation of two
+    # agents (2 * v overflows), so every probe of ``check_sp`` used to raise
+    grid = misreport_grid(2, deadline, 5)
+    assert grid == (0.0, 0.25, 0.5, 0.75, 1.0) + kept
+    for report in grid:
+        assert TypeProfile((0.9, 0.8)).replace(0, report).values[0] == report
+    assert check_sp(lambda p: csd_allocate(p, deadline), [TypeProfile((0.9, 0.8))], grid).passed
 
 
 @pytest.mark.parametrize("deadline", [float("nan"), -0.1, 1.5])

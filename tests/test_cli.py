@@ -40,7 +40,7 @@ def test_allocate_csd_requires_deadline(capsys):
         capsys, ["allocate", "--mechanism", "csd", "--profile", "0.9,0.8"]
     )
     assert code == 1
-    assert "t-c" in err
+    assert err == "error: csd needs a deadline t_c in [0, 1]\n"
 
 
 def test_allocate_csd_at_a_given_deadline(capsys):
@@ -98,14 +98,29 @@ def test_allocate_gcsod_seed_recorded_and_deterministic(capsys):
 
 
 @pytest.mark.parametrize(
-    "command, flag",
+    "command, message",
     [
-        ("simulate --mechanism cs --dist U(0,1) --n 2 --t-c 0.5", "t_c"),
-        ("allocate --mechanism cs --profile 0.9,0.8 --t-c 0.5", "--t-c"),
-        ("allocate --mechanism csod --profile 0.9,0.8 --grouping LR", "--grouping"),
-        ("allocate --mechanism cs --profile 0.9,0.8 --seed 3", "--seed"),
-        ("allocate --mechanism gcsod --profile 0.9,0.8 --grouping LR --seed 3", "--seed"),
-        ("audit --property sp --mechanism gcsod --profile 0.9,0.8 --t-c 0.5", "--t-c"),
+        (
+            "simulate --mechanism cs --dist U(0,1) --n 2 --t-c 0.5",
+            "t_c only applies to csd, not cs",
+        ),
+        ("allocate --mechanism cs --profile 0.9,0.8 --t-c 0.5", "t_c only applies to csd, not cs"),
+        (
+            "allocate --mechanism csod --profile 0.9,0.8 --grouping LR",
+            "--grouping only applies to --mechanism gcsod",
+        ),
+        (
+            "allocate --mechanism cs --profile 0.9,0.8 --seed 3",
+            "--seed only applies to --mechanism gcsod",
+        ),
+        (
+            "allocate --mechanism gcsod --profile 0.9,0.8 --grouping LR --seed 3",
+            "--seed does not apply with --grouping, which fixes the coin flips",
+        ),
+        (
+            "audit --property sp --mechanism gcsod --profile 0.9,0.8 --t-c 0.5",
+            "t_c only applies to csd, not gcsod",
+        ),
     ],
     ids=[
         "simulate-t-c",
@@ -116,11 +131,45 @@ def test_allocate_gcsod_seed_recorded_and_deterministic(capsys):
         "audit-t-c",
     ],
 )
-def test_options_that_do_not_apply_exit_one(capsys, command, flag):
-    code, out, err = _run_capture(capsys, command.split())
-    assert code == 1
-    assert out == ""
-    assert flag in err
+def test_options_that_do_not_apply_exit_one(capsys, command, message):
+    assert _run_capture(capsys, command.split()) == (1, "", f"error: {message}\n")
+
+
+# the commands that take --mechanism and --t-c, each with the rest of a valid command line
+DEADLINE_COMMANDS = {
+    "allocate": "--profile 0.9,0.8",
+    "audit": "--property sp --profile 0.9,0.8",
+    "simulate": "--dist U(0,1) --n 2 --samples 100",
+}
+
+
+@pytest.mark.parametrize("command", DEADLINE_COMMANDS)
+@pytest.mark.parametrize(
+    "mechanism, t_c, message",
+    [
+        ("cs", "--t-c 0.5", "t_c only applies to csd, not cs"),
+        ("csod", "--t-c 0.5", "t_c only applies to csd, not csod"),
+        ("gcsod", "--t-c 0.5", "t_c only applies to csd, not gcsod"),
+        ("csd", "", "csd needs a deadline t_c in [0, 1]"),
+    ],
+    ids=["cs", "csod", "gcsod", "csd-without-t-c"],
+)
+def test_every_command_words_a_misplaced_or_missing_deadline_alike(
+    capsys, command, mechanism, t_c, message
+):
+    # the library checks t_c in one place, so every command prints its one line
+    argv = f"{command} --mechanism {mechanism} {t_c} {DEADLINE_COMMANDS[command]}".split()
+    assert _run_capture(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("t_c", ["5e-324", "1e-308", "1e-307"])
+def test_audit_sp_at_a_tiny_deadline(capsys, t_c):
+    # the grid's largest entry thresholds are no reports of two agents at the
+    # first two deadlines; the audit used to refuse its own probes there
+    argv = ["audit", "--property", "sp", "--mechanism", "csd", "--t-c", t_c, "--profile", "0.9,0.8"]
+    code, out, err = _run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True
 
 
 @pytest.mark.parametrize(

@@ -720,13 +720,13 @@ def test_gcsod_modes_agree_within_noise():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown mechanism 'vcg'$"):
         SimulationConfig("vcg", UNIFORM, n=2, samples=10, seed=0)
     with pytest.raises(ValueError):
         SimulationConfig("cs", UNIFORM, n=2, samples=0, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^csd needs a deadline t_c in \[0, 1\]$"):
         SimulationConfig("csd", UNIFORM, n=2, samples=10, seed=0)  # missing t_c
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exact_grouping mode only applies to gcsod$"):
         SimulationConfig("cs", UNIFORM, n=2, samples=10, seed=0, mode="exact_grouping")
     with pytest.raises(ValueError, match="^unknown mode 'exact'$"):
         SimulationConfig("gcsod", UNIFORM, n=2, samples=10, seed=0, mode="exact")
@@ -804,7 +804,7 @@ def test_config_rejects_a_deadline_outside_the_unit_interval(t_c):
 
 @pytest.mark.parametrize("mechanism", ["cs", "csod", "gcsod"])
 def test_config_rejects_deadline_for_rules_without_one(mechanism):
-    with pytest.raises(ValueError, match="t_c"):
+    with pytest.raises(ValueError, match=f"^t_c only applies to csd, not {mechanism}$"):
         SimulationConfig(mechanism, UNIFORM, n=2, samples=10, seed=0, t_c=0.5)
 
 
